@@ -14,7 +14,8 @@ The package is organized bottom-up:
   trend-route and level-route decompositions of partial parallel trends,
   and the trend-accounting identity for the entering cell.
 - estimators: DiD and stationarity point estimators plus monotone-selection
-  bounds, all running on either an exact joint or a sampled panel.
+  bounds, all formulas over one table of observed cell moments built from
+  either an exact joint or a sampled panel.
 - harness: experiment configs, replication loops, summary/CSV outputs.
 - corpus: shipped scenario configs and seeded config randomizers.
 """
@@ -27,7 +28,6 @@ from .core import (
     CostTable,
     JointDistribution,
     LatentState,
-    ObservedRecord,
     Panel,
     PotentialOutcomes,
     TreatmentPair,
@@ -63,6 +63,7 @@ from .errors import LabError
 from .estimators import (
     ALL_ESTIMATORS,
     EstimateReport,
+    ObservedCells,
     att_forward_stationary,
     att_stationary,
     did_sharp,
@@ -120,7 +121,6 @@ __all__ = [
     "CostTable",
     "JointDistribution",
     "LatentState",
-    "ObservedRecord",
     "Panel",
     "PotentialOutcomes",
     "TreatmentPair",
@@ -166,6 +166,7 @@ __all__ = [
     # estimators
     "ALL_ESTIMATORS",
     "EstimateReport",
+    "ObservedCells",
     "att_forward_stationary",
     "att_stationary",
     "did_sharp",

@@ -18,7 +18,7 @@ from ._rng import derive_seed
 from .corpus import shipped_config, shipped_names, shipped_text
 from .core import validate_scenario
 from .errors import LabError
-from .estimators import ESTIMATORS
+from .estimators import ESTIMATORS, ObservedCells
 from .harness import (
     MAX_SEED,
     ExperimentConfig,
@@ -139,12 +139,14 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_estimate(args) -> int:
     cfg = parse_config(_load_text(args.config))
-    panel = read_panel_csv(args.panel)
+    cells = ObservedCells(read_panel_csv(args.panel))
     print("estimator_id,value,lower,upper")
     for est_id in cfg.estimators:
         try:
-            rpt = ESTIMATORS[est_id](panel)
+            rpt = ESTIMATORS[est_id](cells)
         except LabError as e:
+            if e.code == "non-finite":
+                raise  # a bad panel, not an estimator that does not apply to it
             _log(f"skipping {est_id}: {e}")
             continue
         value = rpt.value

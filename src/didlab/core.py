@@ -13,7 +13,7 @@ Index conventions used throughout:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -68,34 +68,13 @@ class CostTable:
     k1: tuple[tuple[float, float], tuple[float, float]] = ((0.0, 0.0), (0.0, 0.0))
 
 
-ZERO_COSTS = CostTable()
-
-
 @dataclass(frozen=True)
 class LatentState:
-    """Everything the generating model knows about one unit.
-
-    theta is the latent arm quality in the learning scenarios and None
-    elsewhere.  beta and costs are carried even by static scenarios (with
-    inert defaults) so downstream code can treat states uniformly.
-    """
+    """What a scenario's decision rule reads about one unit: its type index
+    and its potential outcomes."""
 
     u0_type: int
     po: PotentialOutcomes
-    theta: Optional[float] = None
-    beta: float = 0.5
-    costs: CostTable = ZERO_COSTS
-
-    def __post_init__(self):
-        if not (0.0 < self.beta < 1.0):
-            raise ValueError(f"beta must lie in (0,1), got {self.beta}")
-
-
-@dataclass(frozen=True)
-class ObservedRecord:
-    treat: TreatmentPair
-    y0: float
-    y1: float
 
 
 @dataclass(frozen=True)
@@ -149,47 +128,13 @@ class JointDistribution:
         return len(self.atoms)
 
 
-class _LatentView(Sequence):
-    """Lazy sequence of LatentState for a panel (avoids 1e5 object links upfront)."""
-
-    def __init__(self, panel: "Panel"):
-        self._p = panel
-
-    def __len__(self) -> int:
-        return self._p.n
-
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return [self[j] for j in range(*i.indices(len(self)))]
-        p = self._p
-        if p.atom_states is not None and p.atom_index is not None:
-            return p.atom_states[p.atom_index[i]]
-        row = p.po[i]
-        return LatentState(u0_type=0, po=PotentialOutcomes.of(*row))
-
-
-class _RecordsView(Sequence):
-    def __init__(self, panel: "Panel"):
-        self._p = panel
-
-    def __len__(self) -> int:
-        return self._p.n
-
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return [self[j] for j in range(*i.indices(len(self)))]
-        p = self._p
-        return ObservedRecord(
-            TreatmentPair(int(p.d0[i]), int(p.d1[i])), float(p.y0[i]), float(p.y1[i])
-        )
-
-
 class Panel:
     """Array-backed sample of observed records, optionally with latent outcomes.
 
-    d0/d1/y0/y1 are the observed columns.  When drawn from a joint, po holds
-    the (n, 4) latent potential-outcome matrix [y00, y01, y10, y11] and
-    atom_index maps each row back to the generating atom.
+    d0/d1/y0/y1 are the observed columns, d0/d1 binary.  When drawn from a
+    joint, po holds the (n, 4) latent potential-outcome matrix
+    [y00, y01, y10, y11] and atom_index maps each row back to the generating
+    atom.
     """
 
     def __init__(
@@ -200,7 +145,6 @@ class Panel:
         y1: np.ndarray,
         po: Optional[np.ndarray] = None,
         atom_index: Optional[np.ndarray] = None,
-        atom_states: Optional[list[LatentState]] = None,
         scenario_id: str = "",
         seed: int = 0,
     ):
@@ -211,13 +155,14 @@ class Panel:
         n = len(self.d0)
         if not (len(self.d1) == len(self.y0) == len(self.y1) == n):
             raise ValueError("panel columns have unequal lengths")
+        if ((self.d0 | self.d1) & ~1).any():
+            raise ValueError("panel treatment columns must be 0 or 1")
         if po is not None:
             po = np.asarray(po, dtype=np.float64)
             if po.shape != (n, 4):
                 raise ValueError(f"latent matrix must be (n, 4), got {po.shape}")
         self.po = po
         self.atom_index = atom_index
-        self.atom_states = atom_states
         self.scenario_id = scenario_id
         self.seed = seed
 
@@ -228,14 +173,6 @@ class Panel:
     @property
     def has_latent(self) -> bool:
         return self.po is not None
-
-    @property
-    def records(self) -> Sequence[ObservedRecord]:
-        return _RecordsView(self)
-
-    @property
-    def latent(self) -> Optional[Sequence[LatentState]]:
-        return _LatentView(self) if self.has_latent else None
 
 
 @dataclass(frozen=True)

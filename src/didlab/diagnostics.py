@@ -3,17 +3,20 @@ observable probe, and the counterfactual-trend reconstruction.
 
 Functions taking a CellTable work on oracle and empirical tables alike.
 Functions taking a Panel are split by what they need: the probe uses observed
-columns only, the empirical cell table is latent-gated.
+columns only (and so also takes a joint), the empirical cell table is
+latent-gated.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Union
 
 import numpy as np
 
-from .core import CELLS, CellStats, CellTable, Panel
+from .core import CELLS, CellStats, CellTable, JointDistribution, Panel
 from .errors import LabError
+from .estimators import ObservedCells
 
 __all__ = [
     "PartialPtReport",
@@ -149,17 +152,13 @@ def selection_stationarity(table: CellTable) -> SelectionStationarityReport:
     )
 
 
-def observable_pt_probe(panel: Panel) -> float:
-    """E_n[Y0 | D0=0, D1=0] - E_n[Y0 | D0=0, D1=1], from observed columns
-    only.  Zero in expectation whenever period-1 selection ignores the
-    realized period-0 outcome."""
-    means = []
-    for d1 in (0, 1):
-        mask = (panel.d0 == 0) & (panel.d1 == d1)
-        if not np.any(mask):
-            raise LabError("empty-cell", f"cell (0,{d1}) is empty in the panel")
-        means.append(float(np.mean(panel.y0[mask])))
-    return means[0] - means[1]
+def observable_pt_probe(data: Union[Panel, JointDistribution, ObservedCells]) -> float:
+    """E[Y0 | D0=0, D1=0] - E[Y0 | D0=0, D1=1], from observed columns only:
+    the sample gap on a panel, the exact gap on a joint.  Zero in
+    expectation whenever period-1 selection ignores the realized period-0
+    outcome."""
+    cells = ObservedCells.of(data)
+    return cells.means(0, "cell (0,0)")[0] - cells.means(1, "cell (0,1)")[0]
 
 
 @dataclass(frozen=True)

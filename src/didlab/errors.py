@@ -22,6 +22,7 @@ ERROR_CODES = (
     "empty-stratum",
     "no-switchers",
     "undefined-ratio",
+    "non-finite",
     "parse-error",
     "schema-error",
     "io-error",

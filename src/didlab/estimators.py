@@ -1,13 +1,15 @@
 """Estimators over observed data (d0, d1, y0, y1) only.
 
-Each estimator accepts either a Panel (sample analog) or a JointDistribution
-(exact plug-in): the private accessor below extracts exactly the observed
-columns plus weights, so latent counterfactuals are unreachable from any code
-path in this module.
+All five are formulas over one ObservedCells table: the mass, sum of y0 and
+sum of y1 of each observed treatment path.  The table is built from a Panel
+(sample analog) or a JointDistribution (exact plug-in) and is the only
+window estimators get onto the data, so latent counterfactuals are
+unreachable from any code path in this module.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Union
 
@@ -18,6 +20,7 @@ from .errors import LabError
 
 __all__ = [
     "EstimateReport",
+    "ObservedCells",
     "ALL_ESTIMATORS",
     "ESTIMATORS",
     "did_sharp",
@@ -28,8 +31,6 @@ __all__ = [
     "run_estimator",
 ]
 
-Data = Union[Panel, JointDistribution]
-
 
 @dataclass(frozen=True)
 class EstimateReport:
@@ -37,6 +38,16 @@ class EstimateReport:
     value: Union[float, BoundsInterval]
     assumptions: tuple[str, ...]
     n_cells: dict
+
+    def __post_init__(self):
+        value = self.value
+        ends = (value.lower, value.upper) if isinstance(value, BoundsInterval) else (value,)
+        if not all(math.isfinite(v) for v in ends):
+            raise LabError(
+                "non-finite",
+                f"{self.estimator_id} = {value!r} is not finite: "
+                "an outcome or an outcome sum overflows double precision",
+            )
 
     def to_json(self) -> dict:
         if isinstance(self.value, BoundsInterval):
@@ -51,61 +62,70 @@ class EstimateReport:
         }
 
 
-class _Obs:
-    """Observed columns with weights summing to 1; the only window estimators
-    get onto the data."""
+class ObservedCells:
+    """Mass, sum of y0 and sum of y1 of each observed treatment path (d0, d1),
+    stored at index 2*d0 + d1.
 
-    __slots__ = ("d0", "d1", "y0", "y1", "w", "from_panel")
+    From a Panel the masses are unit counts (ints) and the sums run over
+    units; from a JointDistribution the masses are probabilities normalised
+    to sum to 1 and the sums are probability-weighted.  Either way a cell's
+    mean outcome is its sum over its mass.
+    """
 
-    def __init__(self, data: Data):
+    __slots__ = ("mass", "sum_y0", "sum_y1")
+
+    def __init__(self, data: Union[Panel, JointDistribution]):
         if isinstance(data, Panel):
-            self.d0, self.d1 = data.d0, data.d1
-            self.y0, self.y1 = data.y0, data.y1
-            self.w = np.full(data.n, 1.0 / data.n)
-            self.from_panel = True
+            d0, d1, y0, y1 = data.d0, data.d1, data.y0, data.y1
+            w = None
         elif isinstance(data, JointDistribution):
             arr = data.arrays()
-            self.d0, self.d1 = arr["d0"], arr["d1"]
-            self.y0, self.y1 = arr["y0"], arr["y1"]
-            total = float(np.sum(arr["prob"]))
-            self.w = arr["prob"] / total
-            self.from_panel = False
+            d0, d1 = arr["d0"], arr["d1"]
+            w = arr["prob"] / np.sum(arr["prob"])
+            y0, y1 = w * arr["y0"], w * arr["y1"]
         else:
             raise TypeError(f"estimators take a Panel or JointDistribution, got {type(data).__name__}")
+        cell = (2 * d0 + d1).astype(np.intp)
+        self.mass = np.bincount(cell, weights=w, minlength=4).tolist()
+        self.sum_y0 = np.bincount(cell, weights=y0, minlength=4).tolist()
+        self.sum_y1 = np.bincount(cell, weights=y1, minlength=4).tolist()
 
-    def mass(self, mask) -> float:
-        return float(np.sum(self.w[mask]))
+    @staticmethod
+    def of(data: Data) -> "ObservedCells":
+        return data if isinstance(data, ObservedCells) else ObservedCells(data)
 
-    def mean(self, x, mask, label: str, code: str = "empty-cell") -> float:
-        den = self.mass(mask)
-        if den <= 0.0:
-            raise LabError(code, f"{label} has no mass")
-        return float(np.sum(self.w[mask] * x[mask])) / den
+    def means(self, cell: int, label: str) -> tuple[float, float]:
+        """(E[Y0 | cell], E[Y1 | cell]); label names the cell in the error."""
+        m = self.mass[cell]
+        if m <= 0:
+            raise LabError("empty-cell", f"{label} has no mass")
+        return self.sum_y0[cell] / m, self.sum_y1[cell] / m
 
-    def size(self, mask):
+    def n_cells(self) -> dict:
         # counts for panels, probability mass for exact plug-ins
-        return int(np.sum(mask)) if self.from_panel else self.mass(mask)
+        return {"01": self.mass[1], "00": self.mass[0]}
 
 
-def _require_sharp(obs: _Obs) -> None:
-    if obs.mass(obs.d0 == 1) > 0.0:
+Data = Union[Panel, JointDistribution, ObservedCells]
+
+
+def _require_sharp(cells: ObservedCells) -> None:
+    if cells.mass[2] + cells.mass[3] > 0:
         raise LabError("not-sharp-design", "period-0 treated units present; this estimator assumes a sharp design")
 
 
 def did_sharp(data: Data) -> EstimateReport:
     """Change-on-change contrast across period-1 arms, valid under parallel
     trends in a sharp design."""
-    obs = _Obs(data)
-    _require_sharp(obs)
-    dy = obs.y1 - obs.y0
-    treated = obs.d1 == 1
-    never = obs.d1 == 0
-    value = obs.mean(dy, treated, "cell (0,1)") - obs.mean(dy, never, "cell (0,0)")
+    cells = ObservedCells.of(data)
+    _require_sharp(cells)
+    t0, t1 = cells.means(1, "cell (0,1)")
+    n0, n1 = cells.means(0, "cell (0,0)")
     return EstimateReport(
         estimator_id="did_sharp",
-        value=value,
+        value=(t1 - t0) - (n1 - n0),
         assumptions=("sharp-design", "parallel-trends"),
-        n_cells={"01": obs.size(treated), "00": obs.size(never)},
+        n_cells=cells.n_cells(),
     )
 
 
@@ -113,59 +133,52 @@ def did_switchers(data: Data) -> EstimateReport:
     """Change-on-change contrast of switchers into treatment against the
     never treated; unbiased when those two groups share the untreated
     trend."""
-    obs = _Obs(data)
-    dy = obs.y1 - obs.y0
-    sw = (obs.d0 == 0) & (obs.d1 == 1)
-    nt = (obs.d0 == 0) & (obs.d1 == 0)
-    value = obs.mean(dy, sw, "switcher cell (0,1)") - obs.mean(dy, nt, "never-treated cell (0,0)")
+    cells = ObservedCells.of(data)
+    s0, s1 = cells.means(1, "switcher cell (0,1)")
+    n0, n1 = cells.means(0, "never-treated cell (0,0)")
     return EstimateReport(
         estimator_id="did_switchers",
-        value=value,
+        value=(s1 - s0) - (n1 - n0),
         assumptions=("pt-switchers-vs-never-treated",),
-        n_cells={"01": obs.size(sw), "00": obs.size(nt)},
+        n_cells=cells.n_cells(),
     )
 
 
 def att_stationary(data: Data) -> EstimateReport:
     """(E[Y1] - E[Y0]) / P(D1=1): identifies the switcher treatment effect in
     a sharp design when the untreated mean is stable over time, with no
-    restriction on who selects into treatment."""
-    obs = _Obs(data)
-    _require_sharp(obs)
-    p_treated = obs.mass(obs.d1 == 1)
-    if p_treated <= 0.0:
+    restriction on who selects into treatment.
+
+    In a sharp design the period-1 treated are cell (0,1), so the ratio is
+    the whole-sample change in outcome sums over that cell's mass."""
+    cells = ObservedCells.of(data)
+    _require_sharp(cells)
+    if cells.mass[1] <= 0:
         raise LabError("no-treated", "no period-1 treated mass")
-    everyone = np.ones(len(obs.w), dtype=bool)
-    value = (obs.mean(obs.y1, everyone, "panel") - obs.mean(obs.y0, everyone, "panel")) / p_treated
     return EstimateReport(
         estimator_id="att_stationary",
-        value=value,
+        value=(sum(cells.sum_y1) - sum(cells.sum_y0)) / cells.mass[1],
         assumptions=("sharp-design", "mean-stationarity"),
-        n_cells={"01": obs.size(obs.d1 == 1), "00": obs.size(obs.d1 == 0)},
+        n_cells=cells.n_cells(),
     )
 
 
 def att_forward_stationary(data: Data) -> EstimateReport:
     """att_stationary run inside the period-0 untreated stratum, so it also
     covers fuzzy designs; needs the untreated mean stable within that
-    stratum."""
-    obs = _Obs(data)
-    stratum = obs.d0 == 0
-    p_stratum = obs.mass(stratum)
-    if p_stratum <= 0.0:
+    stratum.  The stratum is cells (0,0) and (0,1), its switchers are cell
+    (0,1)."""
+    cells = ObservedCells.of(data)
+    if cells.mass[0] + cells.mass[1] <= 0:
         raise LabError("empty-stratum", "no period-0 untreated mass")
-    p_switch = obs.mass(stratum & (obs.d1 == 1)) / p_stratum
-    if p_switch <= 0.0:
+    if cells.mass[1] <= 0:
         raise LabError("no-switchers", "nobody switches into treatment from the period-0 untreated stratum")
-    value = (
-        obs.mean(obs.y1, stratum, "stratum", code="empty-stratum")
-        - obs.mean(obs.y0, stratum, "stratum", code="empty-stratum")
-    ) / p_switch
+    change = (cells.sum_y1[0] + cells.sum_y1[1]) - (cells.sum_y0[0] + cells.sum_y0[1])
     return EstimateReport(
         estimator_id="att_forward_stationary",
-        value=value,
+        value=change / cells.mass[1],
         assumptions=("forward-mean-stationarity",),
-        n_cells={"01": obs.size(stratum & (obs.d1 == 1)), "00": obs.size(stratum & (obs.d1 == 0))},
+        n_cells=cells.n_cells(),
     )
 
 
@@ -175,20 +188,17 @@ def mts_bounds(data: Data) -> EstimateReport:
     weakly better untreated trends (upper end) than the never treated.
 
     The upper end is the same change-on-change contrast did_switchers
-    reports; it is recomputed here from its own moments rather than by
+    reports; it is recomputed here from the cell moments rather than by
     calling that estimator, so the two stay independent checks of one
     identity."""
-    obs = _Obs(data)
-    sw = (obs.d0 == 0) & (obs.d1 == 1)
-    nt = (obs.d0 == 0) & (obs.d1 == 0)
-    lower = obs.mean(obs.y1, sw, "switcher cell (0,1)") - obs.mean(obs.y1, nt, "never-treated cell (0,0)")
-    dy = obs.y1 - obs.y0
-    upper = obs.mean(dy, sw, "switcher cell (0,1)") - obs.mean(dy, nt, "never-treated cell (0,0)")
+    cells = ObservedCells.of(data)
+    s0, s1 = cells.means(1, "switcher cell (0,1)")
+    n0, n1 = cells.means(0, "never-treated cell (0,0)")
     return EstimateReport(
         estimator_id="mts_bounds",
-        value=BoundsInterval(lower=lower, upper=upper),
+        value=BoundsInterval(lower=s1 - n1, upper=(s1 - s0) - (n1 - n0)),
         assumptions=("monotone-selection-level", "monotone-selection-trend"),
-        n_cells={"01": obs.size(sw), "00": obs.size(nt)},
+        n_cells=cells.n_cells(),
     )
 
 

@@ -19,9 +19,9 @@ import numpy as np
 
 from . import _jsonio
 from ._rng import derive_seed
-from .core import BoundsInterval, CELLS, Panel, validate_scenario
+from .core import BoundsInterval, CELLS, JointDistribution, Panel, validate_scenario
 from .errors import LabError
-from .estimators import ALL_ESTIMATORS, ESTIMATORS
+from .estimators import ALL_ESTIMATORS, ESTIMATORS, ObservedCells
 from .oracle import cell_table, check_conditions, pt_deviation, true_att_switchers
 from .scenarios import ScenarioConfig, build_joint, draw_panel, scenario_from_json
 
@@ -176,7 +176,10 @@ def oracle_block(config: ScenarioConfig, estimator_ids=ALL_ESTIMATORS) -> dict:
     """Exact population quantities for a validated config: cell table,
     parallel-trends deviation, condition report, true switcher effect, and
     each estimator's plug-in value on the joint."""
-    joint = build_joint(config)
+    return _oracle_block(config, build_joint(config), estimator_ids)
+
+
+def _oracle_block(config: ScenarioConfig, joint: JointDistribution, estimator_ids) -> dict:
     table = cell_table(joint)
     block: dict = {
         "scenario_id": config.scenario_id,
@@ -189,10 +192,11 @@ def oracle_block(config: ScenarioConfig, estimator_ids=ALL_ESTIMATORS) -> dict:
     except LabError as e:
         block["true_att_switchers"] = None
         block["true_att_switchers_error"] = e.code
+    cells = ObservedCells(joint)
     plugin: dict = {}
     for est_id in estimator_ids:
         try:
-            rpt = ESTIMATORS[est_id](joint)
+            rpt = ESTIMATORS[est_id](cells)
         except LabError as e:
             plugin[est_id] = {"error": e.code}
             continue
@@ -205,14 +209,17 @@ def oracle_block(config: ScenarioConfig, estimator_ids=ALL_ESTIMATORS) -> dict:
 
 
 def _replicate(joint, cfg: ExperimentConfig, r: int):
+    """Draw replication r and run every estimator on its cell table.  A
+    failure is kept as its error code: the LabError's traceback would pin
+    the panel in memory."""
     panel = draw_panel(joint, cfg.n, derive_seed(cfg.seed, r))
+    cells = ObservedCells(panel)
     results = []
     for est_id in cfg.estimators:
         try:
-            rpt = ESTIMATORS[est_id](panel)
-            results.append((est_id, rpt.value))
+            results.append((est_id, ESTIMATORS[est_id](cells).value))
         except LabError as e:
-            results.append((est_id, e))
+            results.append((est_id, e.code))
     return panel if r == 0 else None, results
 
 
@@ -258,7 +265,7 @@ def run_experiment(cfg: ExperimentConfig) -> SummaryReport:
         )
     joint = build_joint(cfg.scenario)
     joint.arrays()  # warm the cache before threads share the joint
-    oracle = oracle_block(cfg.scenario, cfg.estimators)
+    oracle = _oracle_block(cfg.scenario, joint, cfg.estimators)
     truth = oracle.get("true_att_switchers")
 
     reps = range(cfg.replications)
@@ -275,9 +282,9 @@ def run_experiment(cfg: ExperimentConfig) -> SummaryReport:
     errors: dict[str, dict[str, int]] = {est_id: {} for est_id in cfg.estimators}
     for r, (_, results) in enumerate(outcomes):
         for est_id, value in results:
-            if isinstance(value, LabError):
+            if isinstance(value, str):
                 tally = errors[est_id]
-                tally[value.code] = tally.get(value.code, 0) + 1
+                tally[value] = tally.get(value, 0) + 1
             elif isinstance(value, BoundsInterval):
                 collected[est_id].append(value)
                 rows.append((r, est_id, None, value.lower, value.upper))
@@ -413,6 +420,10 @@ def read_panel_csv(path) -> Panel:
     if not rows:
         raise LabError("parse-error", "panel has a header but no rows", str(path))
     mat = np.asarray(rows, dtype=np.float64)
+    bad = np.flatnonzero(~np.isfinite(mat).all(axis=1))
+    if bad.size:
+        line = [i for i, text in enumerate(lines[1:], start=2) if text][bad[0]]
+        raise LabError("parse-error", f"line {line}: non-finite value", str(path))
     d0 = mat[:, 1].astype(np.int8)
     d1 = mat[:, 2].astype(np.int8)
     if not (np.all((mat[:, 1] == 0) | (mat[:, 1] == 1)) and np.all((mat[:, 2] == 0) | (mat[:, 2] == 1))):

@@ -20,6 +20,7 @@ from .core import (
     CellTable,
     JointDistribution,
 )
+from .diagnostics import observable_pt_probe
 from .errors import LabError
 from .scenarios import (
     ControlArmLearning,
@@ -239,18 +240,6 @@ def stopping_residual(config: OptimalStopping) -> float:
     return total_delta0 - tau * p00
 
 
-def _observable_gap(joint: JointDistribution) -> Optional[float]:
-    arr = joint.arrays()
-    probe = {}
-    for d1 in (0, 1):
-        mask = (arr["d0"] == 0) & (arr["d1"] == d1)
-        den = float(np.sum(arr["prob"][mask]))
-        if den <= 0.0:
-            return None
-        probe[d1] = float(np.sum(arr["prob"][mask] * arr["y0"][mask])) / den
-    return probe[0] - probe[1]
-
-
 def check_conditions(config: ScenarioConfig, joint: JointDistribution) -> ConditionReport:
     """Evaluate, exactly, the iff-condition for parallel trends that applies
     to the scenario, alongside the measured deviation it characterizes."""
@@ -267,8 +256,11 @@ def check_conditions(config: ScenarioConfig, joint: JointDistribution) -> Condit
         pt_deviation=dev,
         predicts_pt=True,
         stationarity_gap=gap,
-        observable_gap=_observable_gap(joint),
     )
+    try:
+        report.observable_gap = observable_pt_probe(joint)
+    except LabError:
+        pass  # one of the period-0 untreated cells is empty: no gap to report
 
     if isinstance(config, PastOutcomeSelection):
         t = config.trans_ctrl

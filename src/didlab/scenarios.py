@@ -260,9 +260,7 @@ class NoLearning:
                     p *= _bern(y, ty.mu[t][d])
                 if p == 0.0:
                     continue
-                state = LatentState(
-                    u0_type=i, po=PotentialOutcomes.of(*po), beta=ty.beta, costs=ty.costs
-                )
+                state = LatentState(u0_type=i, po=PotentialOutcomes.of(*po))
                 y0 = po[tr.d0]
                 y1 = po[2 + tr.d1]
                 atoms.append(Atom(state, tr, float(y0), float(y1), p))
@@ -412,13 +410,7 @@ class TreatedArmLearning:
                     )
                     if p == 0.0:
                         continue
-                    state = LatentState(
-                        u0_type=i,
-                        po=PotentialOutcomes.of(*po),
-                        theta=theta,
-                        beta=ty.beta,
-                        costs=ty.costs,
-                    )
+                    state = LatentState(u0_type=i, po=PotentialOutcomes.of(*po))
                     tr = self.decide(state).realized()
                     y0 = po[tr.d0]
                     y1 = po[2 + tr.d1]
@@ -517,7 +509,6 @@ class ControlArmLearning:
     def build_joint(self) -> JointDistribution:
         atoms = []
         for i, ty in enumerate(self.types):
-            costs = CostTable(k1=((0.0, ty.ktilde1), (0.0, 0.0)))
             for theta, w_theta in ty.prior:
                 for y00, y10, y11 in product((0, 1), repeat=3):
                     p = (
@@ -529,12 +520,7 @@ class ControlArmLearning:
                     )
                     if p == 0.0:
                         continue
-                    state = LatentState(
-                        u0_type=i,
-                        po=PotentialOutcomes.of(y00, 0.0, y10, y11),
-                        theta=theta,
-                        costs=costs,
-                    )
+                    state = LatentState(u0_type=i, po=PotentialOutcomes.of(y00, 0.0, y10, y11))
                     tr = self.decide(state).realized()
                     y1 = y11 if tr.d1 else y10
                     atoms.append(Atom(state, tr, float(y00), float(y1), p))
@@ -601,7 +587,7 @@ class RoyRepeated:
         )
 
     def build_joint(self) -> JointDistribution:
-        return _roy_joint(self, self.pmf, beta=0.5)
+        return _roy_joint(self, self.pmf)
 
     def to_json(self) -> dict:
         return {
@@ -648,7 +634,7 @@ class RoyIrreversible:
         )
 
     def build_joint(self) -> JointDistribution:
-        return _roy_joint(self, self.pmf, beta=self.beta)
+        return _roy_joint(self, self.pmf)
 
     def to_json(self) -> dict:
         return {
@@ -658,12 +644,12 @@ class RoyIrreversible:
         }
 
 
-def _roy_joint(cfg, pmf: Pmf16, beta: float) -> JointDistribution:
+def _roy_joint(cfg, pmf: Pmf16) -> JointDistribution:
     atoms = []
     for po, p in pmf:
         if p == 0.0:
             continue
-        state = LatentState(u0_type=0, po=PotentialOutcomes.of(*po), beta=beta)
+        state = LatentState(u0_type=0, po=PotentialOutcomes.of(*po))
         tr = cfg.decide(state).realized()
         y0 = po[tr.d0]
         y1 = po[2 + tr.d1]
@@ -771,13 +757,7 @@ class OptimalStopping:
                 p_atom = ty.prob * p
                 if p_atom == 0.0:
                     continue
-                costs = CostTable(k0=(ty.k0, 0.0), k1=((ty.k1, 0.0), (0.0, 0.0)))
-                state = LatentState(
-                    u0_type=i,
-                    po=PotentialOutcomes.of(y0, 0.0, y1, 0.0),
-                    beta=ty.beta,
-                    costs=costs,
-                )
+                state = LatentState(u0_type=i, po=PotentialOutcomes.of(y0, 0.0, y1, 0.0))
                 tr = self.decide(state).realized()
                 ry0 = 0.0 if tr.d0 else y0
                 ry1 = 0.0 if tr.d1 else y1
@@ -906,7 +886,6 @@ def draw_panel(joint: JointDistribution, n: int, seed: int) -> Panel:
         y1=arr["y1"][idx],
         po=po,
         atom_index=idx.astype(np.int64),
-        atom_states=[a.state for a in joint.atoms],
         scenario_id=joint.scenario_id,
         seed=seed,
     )

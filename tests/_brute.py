@@ -111,3 +111,104 @@ def brute_entering_trend_reconstruction(joint):
         share(1, 1) * trend(1, 1) + share(1, 0) * trend(1, 0) - share(0, 0) * trend(0, 0)
     ) / p_enter
     return reconstructed, trend(0, 1)
+
+
+class _Undefined(Exception):
+    def __init__(self, code):
+        self.code = code
+
+
+def brute_estimates(panel):
+    """Every estimator on a panel, recomputed row by row from its
+    definition: est_id -> (value, n_cells), where value is a float, a
+    (lower, upper) pair, or the code of the error the estimator must raise,
+    and n_cells is None on error."""
+    rows = [
+        (int(panel.d0[i]), int(panel.d1[i]), float(panel.y0[i]), float(panel.y1[i]))
+        for i in range(panel.n)
+    ]
+
+    def count(keep):
+        k = 0
+        for row in rows:
+            if keep(row):
+                k += 1
+        return k
+
+    def mean(stat, keep, code="empty-cell"):
+        total = 0.0
+        k = 0
+        for row in rows:
+            if keep(row):
+                total += stat(row)
+                k += 1
+        if k == 0:
+            raise _Undefined(code)
+        return total / k
+
+    def y0(row):
+        return row[2]
+
+    def y1(row):
+        return row[3]
+
+    def dy(row):
+        return row[3] - row[2]
+
+    def everyone(row):
+        return True
+
+    def switcher(row):
+        return row[0] == 0 and row[1] == 1
+
+    def never(row):
+        return row[0] == 0 and row[1] == 0
+
+    def stratum(row):
+        return row[0] == 0
+
+    def sharp():
+        if count(lambda row: row[0] == 1) > 0:
+            raise _Undefined("not-sharp-design")
+
+    def cells(treated, untreated):
+        return {"01": count(treated), "00": count(untreated)}
+
+    def did_sharp():
+        sharp()
+        treated = lambda row: row[1] == 1
+        untreated = lambda row: row[1] == 0
+        return mean(dy, treated) - mean(dy, untreated), cells(treated, untreated)
+
+    def did_switchers():
+        return mean(dy, switcher) - mean(dy, never), cells(switcher, never)
+
+    def att_stationary():
+        sharp()
+        p_treated = count(lambda row: row[1] == 1) / len(rows)
+        if p_treated == 0.0:
+            raise _Undefined("no-treated")
+        value = (mean(y1, everyone) - mean(y0, everyone)) / p_treated
+        return value, cells(lambda row: row[1] == 1, lambda row: row[1] == 0)
+
+    def att_forward_stationary():
+        if count(stratum) == 0:
+            raise _Undefined("empty-stratum")
+        p_switch = count(switcher) / count(stratum)
+        if p_switch == 0.0:
+            raise _Undefined("no-switchers")
+        value = (mean(y1, stratum) - mean(y0, stratum)) / p_switch
+        return value, cells(switcher, never)
+
+    def mts_bounds():
+        upper = mean(dy, switcher) - mean(dy, never)
+        lower = mean(y1, switcher) - mean(y1, never)
+        return (lower, upper), cells(switcher, never)
+
+    out = {}
+    for fn in (did_sharp, did_switchers, att_stationary, att_forward_stationary, mts_bounds):
+        try:
+            out[fn.__name__] = fn()
+        except _Undefined as undefined:
+            out[fn.__name__] = (undefined.code, None)
+    return out

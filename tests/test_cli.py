@@ -182,6 +182,24 @@ def test_estimate_matches_direct_calls(capsys, tmp_path):
     assert float(table["mts_bounds"][3]) == pytest.approx(bounds.upper, abs=1e-12)
 
 
+def test_estimate_non_finite_panel_exits_2(capsys, tmp_path):
+    path = tmp_path / "bad.csv"
+    path.write_text("unit,d0,d1,y0,y1\n0,0,0,1.0,2.0\n\n1,0,1,nan,1.0\n")
+    code, out, err = run(capsys, "estimate", "stopping_informative", "--panel", str(path))
+    assert code == 2
+    assert out == ""
+    assert "[parse-error] line 4: non-finite value" in err
+
+
+def test_estimate_overflowing_panel_exits_2(capsys, tmp_path):
+    # every value is finite, but the never-treated cell's sum of y1 is not
+    path = tmp_path / "huge.csv"
+    path.write_text("unit,d0,d1,y0,y1\n0,0,0,0.0,1e308\n1,0,0,0.0,1e308\n2,0,1,0.0,1.0\n")
+    code, _, err = run(capsys, "estimate", "stopping_informative", "--panel", str(path))
+    assert code == 2
+    assert "[non-finite] did_sharp" in err
+
+
 def test_estimate_missing_panel_exits_2(capsys):
     code, _, err = run(capsys, "estimate", "roy_repeated", "--panel", "nope.csv")
     assert code == 2

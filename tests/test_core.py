@@ -11,7 +11,6 @@ from didlab.core import (
     Atom,
     CellStats,
     CellTable,
-    CostTable,
     JointDistribution,
     LatentState,
     Panel,
@@ -34,13 +33,6 @@ def test_potential_outcomes_layout():
     assert po.y[1][0] == 3.0
     with pytest.raises(ValueError):
         PotentialOutcomes.of(float("nan"), 0, 0, 0)
-
-
-def test_latent_state_beta_range():
-    po = PotentialOutcomes.of(0, 0, 0, 0)
-    with pytest.raises(ValueError):
-        LatentState(u0_type=0, po=po, beta=1.0)
-    assert LatentState(u0_type=0, po=po).costs == CostTable()
 
 
 def _tiny_joint():
@@ -86,15 +78,17 @@ def test_panel_views_and_shapes():
         po=[[1, 0, 2, 0], [2, 0, 1, 0], [3, 0, 9, 0]],
     )
     assert p.n == 3 and p.has_latent
-    rec = p.records[1]
-    assert (rec.treat.d0, rec.treat.d1, rec.y0, rec.y1) == (0, 1, 2.0, 5.0)
-    assert p.latent[2].po.flat == (3.0, 0.0, 9.0, 0.0)
-    assert len(p.records[1:]) == 2
+    assert (p.d0[1], p.d1[1], p.y0[1], p.y1[1]) == (0, 1, 2.0, 5.0)
+    assert p.po.shape == (3, 4) and p.po.dtype == np.float64
+    assert tuple(p.po[2]) == (3.0, 0.0, 9.0, 0.0)
     with pytest.raises(ValueError):
         Panel(d0=[0], d1=[0, 1], y0=[0.0], y1=[0.0])
     with pytest.raises(ValueError):
         Panel(d0=[0], d1=[0], y0=[0.0], y1=[0.0], po=[[1, 2]])
-    assert Panel(d0=[0], d1=[0], y0=[0.0], y1=[0.0]).latent is None
+    with pytest.raises(ValueError):
+        Panel(d0=[0], d1=[2], y0=[0.0], y1=[0.0])
+    bare = Panel(d0=[0], d1=[0], y0=[0.0], y1=[0.0])
+    assert bare.po is None and not bare.has_latent
 
 
 def test_cell_table_accessors():

@@ -1,10 +1,13 @@
 """Experiment orchestration: config parsing, replication, file outputs."""
 
+import gc
 import json
+import weakref
 
 import numpy as np
 import pytest
 
+from didlab import harness
 from didlab.corpus import shipped_text
 from didlab.errors import LabError
 from didlab.estimators import ALL_ESTIMATORS
@@ -241,6 +244,49 @@ def test_thread_count_does_not_change_results(small_report, monkeypatch):
     assert serial.rows == threaded.rows == report.rows
 
 
+def test_run_experiment_builds_joint_once_and_one_table_per_panel(monkeypatch):
+    calls = {"build_joint": 0, "ObservedCells": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(harness, "build_joint", counted("build_joint", harness.build_joint))
+    monkeypatch.setattr(harness, "ObservedCells", counted("ObservedCells", harness.ObservedCells))
+    cfg = parse_config(shipped_text("roy_repeated"))
+    cfg.n, cfg.replications = 200, 4
+    run_experiment(cfg)
+    # one table for the joint's plug-ins, one per replication panel
+    assert calls == {"build_joint": 1, "ObservedCells": 1 + 4}
+
+
+def test_run_experiment_keeps_only_first_panel(monkeypatch):
+    # estimator errors on a fuzzy design must not pin their panels, through
+    # the error's traceback, while later replications run
+    drawn = []
+    alive_at_draw = []
+    real_draw = harness.draw_panel
+
+    def tracked(*args):
+        gc.collect()
+        alive_at_draw.append([r for r, ref in enumerate(drawn) if ref() is not None])
+        panel = real_draw(*args)
+        drawn.append(weakref.ref(panel))
+        return panel
+
+    monkeypatch.setattr(harness, "draw_panel", tracked)
+    monkeypatch.setenv("DIDLAB_WORKERS", "1")
+    cfg = parse_config(shipped_text("roy_repeated"))
+    cfg.n, cfg.replications = 1000, 10
+    report = run_experiment(cfg)
+    assert report.estimators["did_sharp"]["errors"] == {"not-sharp-design": 10}
+    assert alive_at_draw == [[]] + [[0]] * 9
+    assert drawn[0]() is report.first_panel
+
+
 def test_run_experiment_revalidates():
     bad = ExperimentConfig(scenario=RoyRepeated(pmf=(((0, 0, 0, 0), 0.5),)))
     with pytest.raises(ValueError, match="validation"):
@@ -336,6 +382,9 @@ def test_emit_latent_needs_latent_columns():
         ("unit,d0,d1,y0,y1\n0,0,1,0.5\n", "parse-error"),  # short row
         ("unit,d0,d1,y0,y1\n0,0,1,abc,1.0\n", "parse-error"),
         ("unit,d0,d1,y0,y1\n0,2,1,0.5,1.0\n", "schema-error"),  # d0 not binary
+        ("unit,d0,d1,y0,y1\n0,0,1,nan,1.0\n", "parse-error"),
+        ("unit,d0,d1,y0,y1\n0,0,1,0.5,-inf\n", "parse-error"),
+        ("unit,d0,d1,y0,y1,y00,y01,y10,y11\n0,0,1,0.5,1.0,0,inf,0,0\n", "parse-error"),
     ],
 )
 def test_read_panel_rejects(tmp_path, payload, code):

@@ -72,7 +72,6 @@ def test_draw_panel_deterministic_and_latent(shipped_joints):
         assert (p1.d0[i], p1.d1[i]) == (atom.treat.d0, atom.treat.d1)
         assert p1.y0[i] == atom.y0 and p1.y1[i] == atom.y1
         assert tuple(p1.po[i]) == atom.state.po.flat
-        assert p1.latent[i].po.flat == atom.state.po.flat
 
 
 def test_draw_panel_frequencies_converge(shipped_joints):

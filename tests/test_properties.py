@@ -9,16 +9,16 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from didlab.core import Panel
+from didlab.core import BoundsInterval, Panel
 from didlab.corpus import random_config
 from didlab.diagnostics import empirical_cell_table, partial_pt, selection_stationarity
 from didlab.errors import LabError
-from didlab.estimators import did_switchers, mts_bounds
+from didlab.estimators import ALL_ESTIMATORS, ESTIMATORS, ObservedCells, did_switchers, mts_bounds
 from didlab.harness import panel_csv_lines, read_panel_csv
 from didlab.oracle import cell_table, pt_deviation
 from didlab.scenarios import build_joint, draw_panel, posterior_mean
 
-from _brute import brute_posterior
+from _brute import brute_estimates, brute_posterior
 
 _finite = st.floats(-10.0, 10.0, allow_nan=False, allow_infinity=False)
 
@@ -26,7 +26,13 @@ _finite = st.floats(-10.0, 10.0, allow_nan=False, allow_infinity=False)
 @st.composite
 def panels(draw, with_latent=False):
     n = draw(st.integers(min_value=4, max_value=48))
-    d0 = draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
+    # sharp (all 0) and all-treated (all 1) period-0 columns are drawn
+    # outright: a random column almost never is either
+    d0 = draw(
+        st.one_of(
+            st.lists(st.integers(0, 1), min_size=n, max_size=n), st.just([0] * n), st.just([1] * n)
+        )
+    )
     d1 = draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
     y0 = draw(st.lists(_finite, min_size=n, max_size=n))
     y1 = draw(st.lists(_finite, min_size=n, max_size=n))
@@ -48,6 +54,48 @@ def test_interval_upper_is_switcher_contrast(panel):
             did_switchers(panel)
         return
     assert upper == pytest.approx(did_switchers(panel).value, abs=1e-9)
+
+
+def _outcome(est_id, data):
+    """An estimator's value, bounds as (lower, upper), or its error code,
+    with its n_cells (None on error)."""
+    try:
+        rpt = ESTIMATORS[est_id](data)
+    except LabError as err:
+        return err.code, None
+    value = rpt.value
+    if isinstance(value, BoundsInterval):
+        value = (value.lower, value.upper)
+    return value, rpt.n_cells
+
+
+@given(panels())
+@settings(max_examples=200, deadline=None)
+def test_estimators_match_row_by_row_reference(panel):
+    want = brute_estimates(panel)
+    # rounding differs between the cell-sum formulas and the per-row means,
+    # so 1e-12 is relative to the larger of the value and the outcome scale
+    scale = max(float(np.max(np.abs(panel.y0))), float(np.max(np.abs(panel.y1))), np.finfo(float).tiny)
+    cells = ObservedCells(panel)
+    for est_id in ALL_ESTIMATORS:
+        value, n_cells = _outcome(est_id, panel)
+        assert _outcome(est_id, cells) == (value, n_cells), est_id
+        want_value, want_cells = want[est_id]
+        if isinstance(want_value, str):
+            assert value == want_value, est_id
+            continue
+        assert n_cells == want_cells and all(type(k) is int for k in n_cells.values()), est_id
+        for got, ref in zip(np.atleast_1d(value), np.atleast_1d(want_value)):
+            assert abs(got - ref) <= 1e-12 * max(abs(ref), scale), (est_id, got, ref)
+
+
+@given(st.integers(min_value=0, max_value=10**6))
+@settings(max_examples=25, deadline=None)
+def test_joint_cell_table_is_the_joint(seed):
+    joint = build_joint(random_config(seed))
+    cells = ObservedCells(joint)
+    for est_id in ALL_ESTIMATORS:
+        assert _outcome(est_id, cells) == _outcome(est_id, joint), est_id
 
 
 @given(panels(with_latent=True))
