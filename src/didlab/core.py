@@ -12,8 +12,9 @@ Index conventions used throughout:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -52,7 +53,7 @@ class PotentialOutcomes:
     def __post_init__(self):
         for t in (0, 1):
             for d in (0, 1):
-                if not np.isfinite(self.y[t][d]):
+                if not math.isfinite(self.y[t][d]):
                     raise ValueError(f"potential outcome y[{t}][{d}] not finite")
 
     @property
@@ -89,43 +90,67 @@ class Atom:
 
 
 class JointDistribution:
-    """Exact finite-support pmf over (latent state, decisions, realized outcomes)."""
+    """Exact finite-support pmf over (latent state, decisions, realized
+    outcomes), stored as columns with one row per atom.
 
-    def __init__(self, atoms: Sequence[Atom], scenario_id: str = ""):
-        self.atoms = list(atoms)
+    po holds the (k, 4) potential outcomes [y00, y01, y10, y11] and d0/d1 the
+    binary treatment path; the realized outcomes are the potential outcomes
+    of the chosen arms, y0 = po[d0] and y1 = po[2 + d1].  Treat the columns
+    as read-only: threads share them.
+    """
+
+    def __init__(self, u0_type, po, d0, d1, prob, scenario_id: str = ""):
+        self.u0_type = np.asarray(u0_type, dtype=np.int64)
+        self.po = np.asarray(po, dtype=np.float64).reshape(-1, 4)
+        self.d0 = np.asarray(d0, dtype=np.int8)
+        self.d1 = np.asarray(d1, dtype=np.int8)
+        self.prob = np.asarray(prob, dtype=np.float64)
+        k = len(self.prob)
+        if not (len(self.u0_type) == len(self.po) == len(self.d0) == len(self.d1) == k):
+            raise ValueError("joint columns have unequal lengths")
+        if ((self.d0 | self.d1) & ~1).any():
+            raise ValueError("joint treatment columns must be 0 or 1")
+        self.y0 = np.where(self.d0 == 1, self.po[:, 1], self.po[:, 0])
+        self.y1 = np.where(self.d1 == 1, self.po[:, 3], self.po[:, 2])
         self.scenario_id = scenario_id
-        self._arr: Optional[dict[str, np.ndarray]] = None
+
+    @property
+    def atoms(self) -> list[Atom]:
+        """The rows as Atom objects, built afresh on every read."""
+        return [
+            Atom(LatentState(u, PotentialOutcomes.of(*po)), TreatmentPair(d0, d1), y0, y1, p)
+            for u, po, d0, d1, y0, y1, p in zip(
+                self.u0_type.tolist(), self.po.tolist(), self.d0.tolist(), self.d1.tolist(),
+                self.y0.tolist(), self.y1.tolist(), self.prob.tolist(),
+            )
+        ]
 
     def total_mass(self) -> float:
-        return float(np.sum(self.arrays()["prob"]))
+        return float(np.sum(self.prob))
 
     def check(self) -> None:
-        arr = self.arrays()
-        if (arr["prob"] < 0).any():
+        if (self.prob < 0).any():
             raise ValueError("negative atom probability")
         mass = self.total_mass()
         if abs(mass - 1.0) > EXACT_TOL:
             raise ValueError(f"joint mass {mass!r} differs from 1 by more than {EXACT_TOL}")
 
     def arrays(self) -> dict[str, np.ndarray]:
-        """Column view of the atoms; cached, treat as read-only."""
-        if self._arr is None:
-            po = np.array([a.state.po.flat for a in self.atoms], dtype=np.float64)
-            self._arr = {
-                "prob": np.array([a.prob for a in self.atoms], dtype=np.float64),
-                "d0": np.array([a.treat.d0 for a in self.atoms], dtype=np.int8),
-                "d1": np.array([a.treat.d1 for a in self.atoms], dtype=np.int8),
-                "y0": np.array([a.y0 for a in self.atoms], dtype=np.float64),
-                "y1": np.array([a.y1 for a in self.atoms], dtype=np.float64),
-                "y00": po[:, 0],
-                "y01": po[:, 1],
-                "y10": po[:, 2],
-                "y11": po[:, 3],
-            }
-        return self._arr
+        """The columns by name; treat as read-only."""
+        return {
+            "prob": self.prob,
+            "d0": self.d0,
+            "d1": self.d1,
+            "y0": self.y0,
+            "y1": self.y1,
+            "y00": self.po[:, 0],
+            "y01": self.po[:, 1],
+            "y10": self.po[:, 2],
+            "y11": self.po[:, 3],
+        }
 
     def __len__(self) -> int:
-        return len(self.atoms)
+        return len(self.prob)
 
 
 class Panel:

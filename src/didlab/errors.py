@@ -15,6 +15,7 @@ ERROR_CODES = (
     "support-too-large",
     "empty-event",
     "wrong-scenario",
+    "invalid-scenario",
     "latent-required",
     "empty-cell",
     "not-sharp-design",

@@ -9,6 +9,7 @@ and every output file are byte-stable regardless of scheduling.
 from __future__ import annotations
 
 import json
+import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -223,16 +224,30 @@ def _replicate(joint, cfg: ExperimentConfig, r: int):
     return panel if r == 0 else None, results
 
 
+def _unit_scale(largest: float) -> float:
+    """The power of two that brings |largest| into [0.5, 1).  Scaling by it is
+    exact in binary floating point, and afterwards squares cannot overflow."""
+    return math.ldexp(1.0, -math.frexp(float(largest))[1])
+
+
+def _sd(x: np.ndarray) -> float:
+    if len(x) < 2:
+        return 0.0
+    s = _unit_scale(np.max(np.abs(x)))
+    return float(np.std(x * s, ddof=1)) / s
+
+
 def _aggregate_scalar(values: list[float], truth: Optional[float]) -> dict:
     arr = np.asarray(values, dtype=np.float64)
     out: dict = {
         "n_ok": len(values),
         "mean": float(np.mean(arr)),
-        "sd": float(np.std(arr, ddof=1)) if len(values) > 1 else 0.0,
+        "sd": _sd(arr),
     }
     if truth is not None:
+        s = _unit_scale(max(np.max(np.abs(arr)), abs(truth)))
         out["bias"] = out["mean"] - truth
-        out["rmse"] = float(np.sqrt(np.mean((arr - truth) ** 2)))
+        out["rmse"] = float(np.sqrt(np.mean((arr * s - truth * s) ** 2))) / s
     else:
         out["bias"] = None
         out["rmse"] = None
@@ -246,8 +261,8 @@ def _aggregate_bounds(values: list[BoundsInterval], truth: Optional[float]) -> d
         "n_ok": len(values),
         "lower_mean": float(np.mean(lo)),
         "upper_mean": float(np.mean(hi)),
-        "lower_sd": float(np.std(lo, ddof=1)) if len(values) > 1 else 0.0,
-        "upper_sd": float(np.std(hi, ddof=1)) if len(values) > 1 else 0.0,
+        "lower_sd": _sd(lo),
+        "upper_sd": _sd(hi),
     }
     if truth is not None:
         out["coverage"] = float(np.mean((lo <= truth) & (truth <= hi)))
@@ -259,12 +274,11 @@ def _aggregate_bounds(values: list[BoundsInterval], truth: Optional[float]) -> d
 def run_experiment(cfg: ExperimentConfig) -> SummaryReport:
     report = validate_scenario(cfg.scenario)
     if not report.ok:
-        raise ValueError(
-            "scenario failed validation: "
-            + "; ".join(v.message for v in report.violations)
+        raise LabError(
+            "invalid-scenario",
+            "scenario failed validation: " + "; ".join(v.message for v in report.violations),
         )
     joint = build_joint(cfg.scenario)
-    joint.arrays()  # warm the cache before threads share the joint
     oracle = _oracle_block(cfg.scenario, joint, cfg.estimators)
     truth = oracle.get("true_att_switchers")
 

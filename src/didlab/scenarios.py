@@ -2,9 +2,10 @@
 
 Each scenario is a small structural model of how units choose a two-period
 treatment sequence.  decide() reproduces the model's decision rule exactly
-(closed form over the finite config support, no simulation), build_joint()
-enumerates the full population distribution, and draw_panel() samples from
-it reproducibly.
+(closed form over the finite config support, no simulation) and _grid()
+enumerates its latent support.  build_joint() turns any scenario's grid and
+rule into the full population distribution, and draw_panel() samples from it
+reproducibly.
 
 Tie-breaking: the forward-looking choice scenarios treat at indifference
 (threshold statistic >= 0); the stopping scenario stops at indifference
@@ -15,6 +16,7 @@ convention.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from itertools import product
 from typing import Optional, Sequence
@@ -26,7 +28,6 @@ from .core import (
     EXACT_TOL,
     KNIFE_EDGE_MARGIN,
     PMF_TOL,
-    Atom,
     CostTable,
     JointDistribution,
     LatentState,
@@ -37,7 +38,7 @@ from .core import (
 )
 from .errors import LabError
 
-MAX_ATOMS = 10_000_000
+MAX_ATOMS = 1_000_000
 
 Prior = tuple[tuple[float, float], ...]  # ((theta, weight), ...)
 
@@ -158,8 +159,7 @@ class PastOutcomeSelection:
         d1 = 1 - int(y00)
         return DecisionTrace(d0=0, d1_given=(d1, d1), continuation=(0.0, 0.0), gains=None)
 
-    def build_joint(self) -> JointDistribution:
-        atoms = []
+    def _grid(self):
         for y00, y01, y10, y11 in product((0, 1), repeat=4):
             p = (
                 _bern(y00, self.p_y00)
@@ -167,13 +167,7 @@ class PastOutcomeSelection:
                 * _bern(y01, self.mean_y_treated[0])
                 * _bern(y11, self.mean_y_treated[1])
             )
-            if p == 0.0:
-                continue
-            state = LatentState(u0_type=0, po=PotentialOutcomes.of(y00, y01, y10, y11))
-            tr = self.decide(state).realized()
-            y1 = y11 if tr.d1 else y10
-            atoms.append(Atom(state, tr, float(y00), float(y1), p))
-        return _finish_joint(atoms, self.scenario_id)
+            yield 0, (y00, y01, y10, y11), p
 
     def to_json(self) -> dict:
         return {
@@ -250,21 +244,13 @@ class NoLearning:
             raise LabError("state-not-in-support", f"type index {state.u0_type} out of range")
         return self._type_trace(self.types[state.u0_type])
 
-    def build_joint(self) -> JointDistribution:
-        atoms = []
+    def _grid(self):
         for i, ty in enumerate(self.types):
-            tr = self._type_trace(ty).realized()
             for po in product((0, 1), repeat=4):
                 p = ty.prob
                 for (t, d), y in zip(((0, 0), (0, 1), (1, 0), (1, 1)), po):
                     p *= _bern(y, ty.mu[t][d])
-                if p == 0.0:
-                    continue
-                state = LatentState(u0_type=i, po=PotentialOutcomes.of(*po))
-                y0 = po[tr.d0]
-                y1 = po[2 + tr.d1]
-                atoms.append(Atom(state, tr, float(y0), float(y1), p))
-        return _finish_joint(atoms, self.scenario_id)
+                yield i, po, p
 
     def to_json(self) -> dict:
         return {
@@ -394,8 +380,7 @@ class TreatedArmLearning:
             gains=gains,
         )
 
-    def build_joint(self) -> JointDistribution:
-        atoms = []
+    def _grid(self):
         for i, ty in enumerate(self.types):
             for theta, w_theta in ty.prior:
                 for po in product((0, 1), repeat=4):
@@ -408,14 +393,7 @@ class TreatedArmLearning:
                         * _bern(y10, ty.mu_ctrl[1])
                         * _bern(y11, theta)
                     )
-                    if p == 0.0:
-                        continue
-                    state = LatentState(u0_type=i, po=PotentialOutcomes.of(*po))
-                    tr = self.decide(state).realized()
-                    y0 = po[tr.d0]
-                    y1 = po[2 + tr.d1]
-                    atoms.append(Atom(state, tr, float(y0), float(y1), p))
-        return _finish_joint(atoms, self.scenario_id)
+                    yield i, po, p
 
     def to_json(self) -> dict:
         return {
@@ -506,8 +484,8 @@ class ControlArmLearning:
             gains=None,
         )
 
-    def build_joint(self) -> JointDistribution:
-        atoms = []
+    def _grid(self):
+        # nobody is treated in period 0, so Y_0(1) never shows; it is stored as 0
         for i, ty in enumerate(self.types):
             for theta, w_theta in ty.prior:
                 for y00, y10, y11 in product((0, 1), repeat=3):
@@ -518,13 +496,7 @@ class ControlArmLearning:
                         * _bern(y10, theta)
                         * _bern(y11, ty.mu_treat1)
                     )
-                    if p == 0.0:
-                        continue
-                    state = LatentState(u0_type=i, po=PotentialOutcomes.of(y00, 0.0, y10, y11))
-                    tr = self.decide(state).realized()
-                    y1 = y11 if tr.d1 else y10
-                    atoms.append(Atom(state, tr, float(y00), float(y1), p))
-        return _finish_joint(atoms, self.scenario_id)
+                    yield i, (y00, 0.0, y10, y11), p
 
     def to_json(self) -> dict:
         return {
@@ -586,8 +558,8 @@ class RoyRepeated:
             d0=int(y01 >= y00), d1_given=(d1, d1), continuation=(w, w), gains=y01 - y00
         )
 
-    def build_joint(self) -> JointDistribution:
-        return _roy_joint(self, self.pmf)
+    def _grid(self):
+        return ((0, po, p) for po, p in self.pmf)
 
     def to_json(self) -> dict:
         return {
@@ -633,8 +605,8 @@ class RoyIrreversible:
             gains=gains,
         )
 
-    def build_joint(self) -> JointDistribution:
-        return _roy_joint(self, self.pmf)
+    def _grid(self):
+        return ((0, po, p) for po, p in self.pmf)
 
     def to_json(self) -> dict:
         return {
@@ -642,19 +614,6 @@ class RoyIrreversible:
             "beta": self.beta,
             "pmf": [[*po, p] for po, p in self.pmf],
         }
-
-
-def _roy_joint(cfg, pmf: Pmf16) -> JointDistribution:
-    atoms = []
-    for po, p in pmf:
-        if p == 0.0:
-            continue
-        state = LatentState(u0_type=0, po=PotentialOutcomes.of(*po))
-        tr = cfg.decide(state).realized()
-        y0 = po[tr.d0]
-        y1 = po[2 + tr.d1]
-        atoms.append(Atom(state, tr, float(y0), float(y1), p))
-    return _finish_joint(atoms, cfg.scenario_id)
 
 
 # ---------------------------------------------------------------------------
@@ -750,19 +709,11 @@ class OptimalStopping:
             gains=cont0,
         )
 
-    def build_joint(self) -> JointDistribution:
-        atoms = []
+    def _grid(self):
+        # a stopped unit's outcome is 0: the treated potential outcomes are 0
         for i, ty in enumerate(self.types):
             for (y0, y1), p in ty.pmf:
-                p_atom = ty.prob * p
-                if p_atom == 0.0:
-                    continue
-                state = LatentState(u0_type=i, po=PotentialOutcomes.of(y0, 0.0, y1, 0.0))
-                tr = self.decide(state).realized()
-                ry0 = 0.0 if tr.d0 else y0
-                ry1 = 0.0 if tr.d1 else y1
-                atoms.append(Atom(state, tr, float(ry0), float(ry1), p_atom))
-        return _finish_joint(atoms, self.scenario_id)
+                yield i, (y0, 0.0, y1, 0.0), ty.prob * p
 
     def to_json(self) -> dict:
         return {
@@ -813,54 +764,50 @@ def decide(config: ScenarioConfig, state: LatentState) -> DecisionTrace:
     return config.decide(state)
 
 
-def _finish_joint(atoms: list[Atom], scenario_id: str) -> JointDistribution:
-    if len(atoms) > MAX_ATOMS:
-        raise LabError(
-            "support-too-large", f"{len(atoms)} atoms exceed the cap of {MAX_ATOMS}"
-        )
-    total = float(np.sum(np.array([a.prob for a in atoms])))
-    if abs(total - 1.0) > PMF_TOL:
-        raise ValueError(f"joint mass {total!r}; validate the config first")
-    if total != 1.0:
-        atoms = [
-            Atom(a.state, a.treat, a.y0, a.y1, a.prob / total) for a in atoms
-        ]
-    joint = JointDistribution(atoms, scenario_id)
-    joint.check()
-    return joint
-
-
-def _count_support(config: ScenarioConfig) -> int:
-    if isinstance(config, PastOutcomeSelection):
-        return 16
-    if isinstance(config, NoLearning):
-        return 16 * len(config.types)
-    if isinstance(config, TreatedArmLearning):
-        return sum(16 * len(ty.prior) for ty in config.types)
-    if isinstance(config, ControlArmLearning):
-        return sum(8 * len(ty.prior) for ty in config.types)
-    if isinstance(config, (RoyRepeated, RoyIrreversible)):
-        return len(config.pmf)
-    if isinstance(config, OptimalStopping):
-        return sum(len(ty.pmf) for ty in config.types)
-    raise LabError("wrong-scenario", f"not a scenario config: {type(config).__name__}")
-
-
 def build_joint(config: ScenarioConfig) -> JointDistribution:
     """Enumerate the exact population joint distribution for a scenario.
 
-    Atoms appear in canonical order — lexicographic in (type index, latent
-    grid index, outcome tuple) — and zero-probability support points are
-    dropped.  Probabilities are renormalized by their total so the result
-    carries unit mass to within 1e-12 even when config pmfs only sum to 1
-    within the looser validation tolerance.
+    The scenario's _grid() yields every grid point as (type index,
+    (y00, y01, y10, y11), probability) in canonical order — lexicographic in
+    (type index, latent grid index, outcome tuple) — which inverse-cdf draws
+    depend on.  Atoms keep that order and zero-probability points are
+    dropped.  The decision rule runs once per distinct latent state; a grid
+    lists each type's points together, so only one type's decisions are
+    held at a time.  Probabilities are renormalized by their total so the
+    result carries unit mass to within 1e-12 even when config pmfs only sum
+    to 1 within the looser validation tolerance.
     """
-    if _count_support(config) > MAX_ATOMS:
+    grid = getattr(config, "_grid", None)
+    if grid is None:
+        raise LabError("wrong-scenario", f"not a scenario config: {type(config).__name__}")
+    u0_type, po, prob, cell = array("q"), array("d"), array("d"), array("b")
+    cells_type, cells = None, {}  # po -> 2 * d0 + d1 for type cells_type
+    for count, (u, y, p) in enumerate(grid(), start=1):
+        if count > MAX_ATOMS:
+            raise LabError("support-too-large", f"support exceeds the cap of {MAX_ATOMS} atoms")
+        if p == 0.0:
+            continue
+        if u != cells_type:
+            cells_type, cells = u, {}
+        if y not in cells:
+            tr = config.decide(LatentState(u, PotentialOutcomes.of(*y))).realized()
+            cells[y] = 2 * tr.d0 + tr.d1
+        u0_type.append(u)
+        po.extend(y)
+        prob.append(p)
+        cell.append(cells[y])
+    weights = np.array(prob, dtype=np.float64)
+    total = float(np.sum(weights))
+    if (weights < 0).any() or abs(total - 1.0) > PMF_TOL:
         raise LabError(
-            "support-too-large",
-            f"support of {_count_support(config)} atoms exceeds the cap of {MAX_ATOMS}",
+            "invalid-scenario", f"weights sum to {total!r} or include a negative one; validate the config first"
         )
-    return config.build_joint()
+    if total != 1.0:
+        weights = weights / total
+    c = np.array(cell, dtype=np.int8)
+    joint = JointDistribution(u0_type, po, c >> 1, c & 1, weights, config.scenario_id)
+    joint.check()
+    return joint
 
 
 def draw_panel(joint: JointDistribution, n: int, seed: int) -> Panel:
@@ -871,20 +818,18 @@ def draw_panel(joint: JointDistribution, n: int, seed: int) -> Panel:
     """
     if n < 1:
         raise ValueError(f"panel size must be >= 1, got {n}")
-    if not joint.atoms:
+    if len(joint) == 0:
         raise ValueError("cannot sample from an empty joint")
-    arr = joint.arrays()
-    cdf = np.cumsum(arr["prob"])
+    cdf = np.cumsum(joint.prob)
     u = _rng.uniforms(seed, n)
     idx = np.searchsorted(cdf, u, side="right")
-    idx = np.minimum(idx, len(joint.atoms) - 1)
-    po = np.column_stack([arr["y00"][idx], arr["y01"][idx], arr["y10"][idx], arr["y11"][idx]])
+    idx = np.minimum(idx, len(joint) - 1)
     return Panel(
-        d0=arr["d0"][idx],
-        d1=arr["d1"][idx],
-        y0=arr["y0"][idx],
-        y1=arr["y1"][idx],
-        po=po,
+        d0=joint.d0[idx],
+        d1=joint.d1[idx],
+        y0=joint.y0[idx],
+        y1=joint.y1[idx],
+        po=np.take(joint.po, idx, axis=0),
         atom_index=idx.astype(np.int64),
         scenario_id=joint.scenario_id,
         seed=seed,

@@ -2,6 +2,7 @@
 
 import io
 import json
+import math
 
 import pytest
 
@@ -231,6 +232,23 @@ def test_experiment_writes_all_outputs(capsys, tmp_path):
     summary = json.loads((out_dir / "summary.json").read_text())
     assert summary["replications"] == 3 and summary["n"] == 200
     assert summary["oracle"]["plugin"]["did_sharp"] == pytest.approx(3.0, abs=1e-12)
+
+
+def test_experiment_summary_survives_huge_outcomes(capsys, tmp_path):
+    # every estimate is finite near 1e200, though its square is not
+    path = tmp_path / "huge.json"
+    pmf = [[1e200, -1e200, 0.5], [-1e200, 3e200, 0.5]]
+    path.write_text(json.dumps(
+        {"scenario": "optimal_stopping", "types": [{"prob": 1.0, "k0": 0.0, "k1": 0.0, "beta": 0.9, "pmf": pmf}]}
+    ))
+    out_dir = tmp_path / "exp"
+    code, _, _ = run(capsys, "experiment", str(path), "--n", "50", "--reps", "5", "--out", str(out_dir))
+    assert code == 0
+    summary = json.loads((out_dir / "summary.json").read_text())
+    for est_id, agg in summary["estimators"].items():
+        for key in ("sd", "rmse", "lower_sd", "upper_sd"):
+            if key in agg:
+                assert math.isfinite(agg[key]) and agg[key] > 0.0, (est_id, key)
 
 
 def test_experiment_reruns_byte_identical(capsys, tmp_path):

@@ -8,11 +8,9 @@ import pytest
 from didlab import _jsonio, _rng
 from didlab.core import (
     CELLS,
-    Atom,
     CellStats,
     CellTable,
     JointDistribution,
-    LatentState,
     Panel,
     PotentialOutcomes,
     TreatmentPair,
@@ -36,23 +34,14 @@ def test_potential_outcomes_layout():
 
 
 def _tiny_joint():
-    atoms = [
-        Atom(
-            LatentState(0, PotentialOutcomes.of(0, 0, 1, 0)),
-            TreatmentPair(0, 0),
-            0.0,
-            1.0,
-            0.25,
-        ),
-        Atom(
-            LatentState(0, PotentialOutcomes.of(1, 0, 0, 1)),
-            TreatmentPair(0, 1),
-            1.0,
-            1.0,
-            0.75,
-        ),
-    ]
-    return JointDistribution(atoms, scenario_id="test")
+    return JointDistribution(
+        u0_type=[0, 0],
+        po=[[0, 0, 1, 0], [1, 0, 0, 1]],
+        d0=[0, 0],
+        d1=[0, 1],
+        prob=[0.25, 0.75],
+        scenario_id="test",
+    )
 
 
 def test_joint_arrays_and_check():
@@ -64,7 +53,7 @@ def test_joint_arrays_and_check():
     assert len(joint) == 2
     joint.check()
     assert joint.total_mass() == 1.0
-    bad = JointDistribution(joint.atoms[:1])
+    bad = JointDistribution([0], [[0, 0, 1, 0]], [0], [0], [0.25])
     with pytest.raises(ValueError):
         bad.check()
 

@@ -289,8 +289,9 @@ def test_run_experiment_keeps_only_first_panel(monkeypatch):
 
 def test_run_experiment_revalidates():
     bad = ExperimentConfig(scenario=RoyRepeated(pmf=(((0, 0, 0, 0), 0.5),)))
-    with pytest.raises(ValueError, match="validation"):
+    with pytest.raises(LabError, match="validation") as err:
         run_experiment(bad)
+    assert err.value.code == "invalid-scenario"
 
 
 # --- file outputs -----------------------------------------------------------------

@@ -5,11 +5,15 @@ import json
 import numpy as np
 import pytest
 
+from didlab import corpus, scenarios
 from didlab.core import EXACT_TOL
 from didlab.errors import LabError
 from didlab.scenarios import (
+    NoLearning,
+    NoLearningType,
     RoyRepeated,
     build_joint,
+    decide,
     draw_panel,
     scenario_from_json,
 )
@@ -33,6 +37,52 @@ def test_all_shipped_joints_are_tight(shipped, shipped_joints):
             else:
                 assert atom.y0 == flat[d0], name
                 assert atom.y1 == flat[2 + d1], name
+
+
+_CORPUS_FAMILIES = {
+    "mixed": corpus.random_config,
+    "selection_on_past": corpus.random_selection_on_past,
+    "known_means": corpus.random_known_means,
+    "treated_arm_learning": corpus.random_treated_learning,
+    "control_arm_learning": corpus.random_control_learning,
+    "learner_bounds": corpus.random_learner_bounds,
+    "roy_repeated": corpus.random_roy,
+    "roy_irreversible": lambda seed: corpus.random_roy(seed, irreversible=True),
+    "stopping": corpus.random_stopping,
+}
+
+
+def test_every_atom_follows_the_decision_rule(shipped, seeds):
+    """Each row's treatment path is what the scenario's rule chooses for the
+    row's latent state, and its realized outcomes are the potential outcomes
+    of the chosen arms."""
+    cases = list(shipped.items())
+    cases += [(f"{key}:{seed}", make(seed)) for key, make in _CORPUS_FAMILIES.items() for seed in seeds[key]]
+    for label, cfg in cases:
+        for atom in build_joint(cfg).atoms:
+            assert decide(cfg, atom.state).realized() == atom.treat, label
+            flat = atom.state.po.flat
+            assert (atom.y0, atom.y1) == (flat[atom.treat.d0], flat[2 + atom.treat.d1]), label
+
+
+def test_support_cap_stops_the_build(monkeypatch):
+    half = NoLearningType(prob=0.5, mu=((0.5, 0.5), (0.5, 0.5)))
+    cfg = NoLearning(types=(half, half))  # 2 types x 16 outcome tuples
+    monkeypatch.setattr(scenarios, "MAX_ATOMS", 31)
+    with pytest.raises(LabError) as err:
+        build_joint(cfg)
+    assert err.value.code == "support-too-large"
+    monkeypatch.setattr(scenarios, "MAX_ATOMS", 32)
+    assert len(build_joint(cfg)) == 32
+
+
+def test_build_joint_rejects_non_scenarios_and_bad_mass():
+    with pytest.raises(LabError) as err:
+        build_joint(object())
+    assert err.value.code == "wrong-scenario"
+    with pytest.raises(LabError) as err:
+        build_joint(RoyRepeated(pmf=(((0, 0, 0, 0), 0.5),)))
+    assert err.value.code == "invalid-scenario"
 
 
 def test_joint_renormalizes_float_dust():
