@@ -96,7 +96,7 @@ class JointDistribution:
     po holds the (k, 4) potential outcomes [y00, y01, y10, y11] and d0/d1 the
     binary treatment path; the realized outcomes are the potential outcomes
     of the chosen arms, y0 = po[d0] and y1 = po[2 + d1].  Treat the columns
-    as read-only: threads share them.
+    as read-only.
     """
 
     def __init__(self, u0_type, po, d0, d1, prob, scenario_id: str = ""):

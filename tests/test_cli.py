@@ -235,9 +235,11 @@ def test_experiment_writes_all_outputs(capsys, tmp_path):
 
 
 def test_experiment_summary_survives_huge_outcomes(capsys, tmp_path):
-    # every estimate is finite near 1e200, though its square is not
+    # every estimate is finite near 1e200, though its square is not; three
+    # outcome points, so the (0,1) and (0,0) cells hold more than one value
+    # and every spread is positive
     path = tmp_path / "huge.json"
-    pmf = [[1e200, -1e200, 0.5], [-1e200, 3e200, 0.5]]
+    pmf = [[1e200, -1e200, 0.3], [-1e200, 3e200, 0.3], [2e200, 1e200, 0.4]]
     path.write_text(json.dumps(
         {"scenario": "optimal_stopping", "types": [{"prob": 1.0, "k0": 0.0, "k1": 0.0, "beta": 0.9, "pmf": pmf}]}
     ))

@@ -1,13 +1,11 @@
 """Experiment orchestration: config parsing, replication, file outputs."""
 
-import gc
 import json
-import weakref
 
 import numpy as np
 import pytest
 
-from didlab import harness
+from didlab import harness, scenarios
 from didlab.corpus import shipped_text
 from didlab.errors import LabError
 from didlab.estimators import ALL_ESTIMATORS
@@ -18,7 +16,6 @@ from didlab.harness import (
     panel_csv_lines,
     read_panel_csv,
     run_experiment,
-    worker_count,
     write_outputs,
 )
 from didlab._rng import derive_seed
@@ -112,23 +109,6 @@ def test_parse_schema_errors_carry_paths(overrides, path):
         parse_config(_experiment_doc(**overrides))
     assert err.value.code == "schema-error"
     assert err.value.path == path
-
-
-# --- worker count -----------------------------------------------------------------
-
-
-def test_worker_count_env(monkeypatch):
-    monkeypatch.delenv("DIDLAB_WORKERS", raising=False)
-    assert 1 <= worker_count() <= 8
-    monkeypatch.setenv("DIDLAB_WORKERS", "3")
-    assert worker_count() == 3
-    monkeypatch.setenv("DIDLAB_WORKERS", "0")
-    with pytest.raises(LabError) as err:
-        worker_count()
-    assert err.value.code == "schema-error"
-    monkeypatch.setenv("DIDLAB_WORKERS", "many")
-    with pytest.raises(LabError):
-        worker_count()
 
 
 # --- oracle block -----------------------------------------------------------------
@@ -235,21 +215,12 @@ def test_run_experiment_deterministic(small_report):
     assert repeat.to_json() == report.to_json()
 
 
-def test_thread_count_does_not_change_results(small_report, monkeypatch):
-    report, cfg = small_report
-    monkeypatch.setenv("DIDLAB_WORKERS", "1")
-    serial = run_experiment(cfg)
-    monkeypatch.setenv("DIDLAB_WORKERS", "6")
-    threaded = run_experiment(cfg)
-    assert serial.rows == threaded.rows == report.rows
-
-
 def test_run_experiment_builds_joint_once_and_one_table_per_panel(monkeypatch):
-    calls = {"build_joint": 0, "ObservedCells": 0}
+    calls = {"build_joint": [], "ObservedCells": []}
 
     def counted(name, fn):
         def wrapper(*args):
-            calls[name] += 1
+            calls[name].append(args)
             return fn(*args)
 
         return wrapper
@@ -259,32 +230,30 @@ def test_run_experiment_builds_joint_once_and_one_table_per_panel(monkeypatch):
     cfg = parse_config(shipped_text("roy_repeated"))
     cfg.n, cfg.replications = 200, 4
     run_experiment(cfg)
-    # one table for the joint's plug-ins, one per replication panel
-    assert calls == {"build_joint": 1, "ObservedCells": 1 + 4}
+    assert len(calls["build_joint"]) == 1
+    # one table for the joint's plug-ins, then one per replication, each from
+    # the joint and that replication's atom counts
+    (joint,), *per_rep = calls["ObservedCells"]
+    assert len(per_rep) == 4
+    for rep_joint, counts in per_rep:
+        assert rep_joint is joint
+        assert counts.dtype == np.int64 and counts.sum() == cfg.n
 
 
 def test_run_experiment_keeps_only_first_panel(monkeypatch):
-    # estimator errors on a fuzzy design must not pin their panels, through
-    # the error's traceback, while later replications run
-    drawn = []
-    alive_at_draw = []
-    real_draw = harness.draw_panel
+    built = []
 
-    def tracked(*args):
-        gc.collect()
-        alive_at_draw.append([r for r, ref in enumerate(drawn) if ref() is not None])
-        panel = real_draw(*args)
-        drawn.append(weakref.ref(panel))
-        return panel
+    class Tracked(Panel):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            built.append(self)
 
-    monkeypatch.setattr(harness, "draw_panel", tracked)
-    monkeypatch.setenv("DIDLAB_WORKERS", "1")
+    monkeypatch.setattr(scenarios, "Panel", Tracked)
     cfg = parse_config(shipped_text("roy_repeated"))
     cfg.n, cfg.replications = 1000, 10
     report = run_experiment(cfg)
     assert report.estimators["did_sharp"]["errors"] == {"not-sharp-design": 10}
-    assert alive_at_draw == [[]] + [[0]] * 9
-    assert drawn[0]() is report.first_panel
+    assert len(built) == 1 and built[0] is report.first_panel
 
 
 def test_run_experiment_revalidates():

@@ -6,9 +6,11 @@ import numpy as np
 import pytest
 
 from didlab import corpus, scenarios
-from didlab.core import EXACT_TOL
+from didlab._rng import uniforms
+from didlab.core import EXACT_TOL, JointDistribution
 from didlab.errors import LabError
 from didlab.scenarios import (
+    AtomSampler,
     NoLearning,
     NoLearningType,
     RoyRepeated,
@@ -135,6 +137,92 @@ def test_panel_seed_column_annotations(shipped_joints):
     panel = draw_panel(shipped_joints["roy_repeated"], 10, seed=9)
     assert panel.seed == 9
     assert panel.scenario_id == "roy_repeated"
+
+
+# --- atom sampler --------------------------------------------------------------
+
+
+def _reference_index(joint, u):
+    """Inverse-cdf draw by binary search, clamped to the last atom."""
+    return np.minimum(np.searchsorted(np.cumsum(joint.prob), u, side="right"), len(joint) - 1)
+
+
+def _wide_joint(seed):
+    """A 4,800-atom no_learning joint: 300 types of 16 atoms each."""
+    rng = np.random.default_rng(seed)
+    types = tuple(
+        NoLearningType(prob=1 / 300, mu=tuple(map(tuple, rng.uniform(0.05, 0.95, (2, 2)))))
+        for _ in range(300)
+    )
+    return build_joint(NoLearning(types=types))
+
+
+# every bucket edge b/m of every guide table with m <= 2**14 buckets
+_EDGES = np.arange(2**14 + 1) / 2**14
+
+
+def _edge_uniforms(joint):
+    cdf = np.cumsum(joint.prob)
+    cdf = cdf[cdf < 1.0]
+    return np.concatenate([
+        [0.0, 2.0**-53, 1.0 - 2.0**-53, 1.0],
+        _EDGES,
+        cdf,
+        np.nextafter(cdf, 0.0),
+        np.nextafter(cdf, 1.0),
+    ])
+
+
+def _assert_sampler_matches_reference(joint, label, seeds=(1, 2, 3)):
+    assert len(joint) <= 2**14 and scenarios.GUIDE_MIN_BUCKETS <= 2**14
+    sampler = AtomSampler(joint)
+    for u in (_edge_uniforms(joint), *(uniforms(seed, 5_000) for seed in seeds)):
+        assert np.array_equal(sampler.index(u), _reference_index(joint, u)), label
+
+
+def test_sampler_index_is_the_binary_search(shipped_joints, seeds):
+    cases = list(shipped_joints.items())
+    cases += [
+        (f"{key}:{seed}", build_joint(make(seed)))
+        for key, make in _CORPUS_FAMILIES.items()
+        for seed in seeds[key][:40]
+    ]
+    cases += [(f"wide:{seed}", _wide_joint(seed)) for seed in (1, 2)]
+    for label, joint in cases:
+        _assert_sampler_matches_reference(joint, label)
+
+
+def test_sampler_index_where_the_cdf_ends_below_one():
+    prob = [0.25, 0.25, 0.5 - 1e-12]
+    joint = JointDistribution([0, 0, 0], np.zeros((3, 4)), [0, 0, 1], [0, 1, 1], prob)
+    assert np.cumsum(joint.prob)[-1] < 1.0
+    _assert_sampler_matches_reference(joint, "short")
+    tail = np.array([1.0 - 1e-12, 1.0 - 2e-13, 1.0 - 2.0**-53])
+    assert AtomSampler(joint).index(tail).tolist() == [2, 2, 2]
+
+
+def test_sampler_index_where_many_atoms_share_a_bucket():
+    # 2,999 atoms inside the first bucket: walks past GUIDE_WALK_STEPS fall
+    # back to binary search
+    k = 3_000
+    prob = np.full(k, 1e-6 / (k - 1))
+    prob[-1] = 1.0 - 1e-6
+    joint = JointDistribution(np.zeros(k), np.zeros((k, 4)), np.zeros(k), np.zeros(k), prob)
+    u = np.concatenate([np.linspace(0.0, 2e-6, 5_001), _edge_uniforms(joint)])
+    assert np.array_equal(AtomSampler(joint).index(u), _reference_index(joint, u))
+
+
+@pytest.mark.parametrize("chunk", [1, 7, None])
+def test_chunked_counts_are_the_bincount_of_the_draws(shipped_joints, monkeypatch, chunk):
+    n = 40_000 if chunk is None else 500  # the default chunk splits 40,000 units three ways
+    if chunk is not None:
+        monkeypatch.setattr(scenarios, "COUNT_CHUNK", chunk)
+    for name in ("treated_arm_learning", "stopping_informative", "stationary_scale"):
+        joint = shipped_joints[name]
+        counts = AtomSampler(joint).counts(n, seed=13)
+        want = np.bincount(draw_panel(joint, n, seed=13).atom_index, minlength=len(joint))
+        assert counts.dtype == np.int64 and np.array_equal(counts, want), name
+        assert int(counts.sum()) == n
 
 
 # --- config serialization ----------------------------------------------------

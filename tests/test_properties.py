@@ -16,7 +16,7 @@ from didlab.errors import LabError
 from didlab.estimators import ALL_ESTIMATORS, ESTIMATORS, ObservedCells, did_switchers, mts_bounds
 from didlab.harness import panel_csv_lines, read_panel_csv
 from didlab.oracle import cell_table, pt_deviation
-from didlab.scenarios import build_joint, draw_panel, posterior_mean
+from didlab.scenarios import AtomSampler, build_joint, draw_panel, posterior_mean
 
 from _brute import brute_estimates, brute_posterior
 
@@ -96,6 +96,22 @@ def test_joint_cell_table_is_the_joint(seed):
     cells = ObservedCells(joint)
     for est_id in ALL_ESTIMATORS:
         assert _outcome(est_id, cells) == _outcome(est_id, joint), est_id
+
+
+@given(st.integers(min_value=0, max_value=10**6), st.integers(0, 2**32), st.integers(1, 3_000))
+@settings(max_examples=40, deadline=None)
+def test_cells_from_atom_counts_are_the_panel_cells(seed, draw_seed, n):
+    joint = build_joint(random_config(seed))
+    panel = draw_panel(joint, n, draw_seed)
+    want = ObservedCells(panel)
+    got = ObservedCells(joint, AtomSampler(joint).counts(n, draw_seed))
+    assert got.mass == want.mass and all(type(m) is int for m in got.mass)
+    # count-weighted sums round differently from unit-by-unit sums, so 1e-12
+    # is relative to the larger of the sum and the cell's outcome scale
+    scale = max(float(np.max(np.abs(panel.y0))), float(np.max(np.abs(panel.y1))), np.finfo(float).tiny)
+    for sums, refs in ((got.sum_y0, want.sum_y0), (got.sum_y1, want.sum_y1)):
+        for cell, (s, ref) in enumerate(zip(sums, refs)):
+            assert abs(s - ref) <= 1e-12 * max(abs(ref), want.mass[cell] * scale), (cell, s, ref)
 
 
 @given(panels(with_latent=True))
