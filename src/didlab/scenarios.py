@@ -2,10 +2,12 @@
 
 Each scenario is a small structural model of how units choose a two-period
 treatment sequence.  decide() reproduces the model's decision rule exactly
-(closed form over the finite config support, no simulation) and _grid()
-enumerates its latent support.  build_joint() turns any scenario's grid and
-rule into the full population distribution, and AtomSampler samples from it
-reproducibly: atom counts for a replication, or a panel (draw_panel()).
+(closed form over the finite config support, no simulation), `reads` names
+the potential-outcome columns that rule looks at besides the type, and
+_grid() enumerates the latent support one type at a time.  build_joint()
+turns any scenario's grid and rule into the full population distribution,
+and AtomSampler samples from it reproducibly: atom counts for a
+replication, or a panel (draw_panel()).
 
 Tie-breaking: the forward-looking choice scenarios treat at indifference
 (threshold statistic >= 0); the stopping scenario stops at indifference
@@ -16,9 +18,11 @@ convention.
 
 from __future__ import annotations
 
+import math
 from array import array
 from dataclasses import dataclass
 from itertools import product
+from operator import itemgetter
 from typing import Optional, Sequence
 
 import numpy as np
@@ -52,8 +56,19 @@ COUNT_CHUNK = 2**14
 Prior = tuple[tuple[float, float], ...]  # ((theta, weight), ...)
 
 
+# the 16 binary outcome tuples (y00, y01, y10, y11) in lexicographic order
+_PO16 = np.array(list(product((0.0, 1.0), repeat=4)))
+# the 8 of them with Y_0(1) = 0, in the same order
+_PO8 = _PO16[_PO16[:, 1] == 0.0]
+
+
 def _bern(y: int, p: float) -> float:
     return p if y == 1 else 1.0 - p
+
+
+def _bern_col(y: np.ndarray, p) -> np.ndarray:
+    """_bern row by row: the same float operations, so the same bits."""
+    return np.where(y == 1.0, p, 1.0 - p)
 
 
 def prior_mean(prior: Prior) -> float:
@@ -149,6 +164,7 @@ class PastOutcomeSelection:
     mean_y_treated: tuple[float, float]
 
     scenario_id = "past_outcome_selection"
+    reads = (0,)  # y00
 
     def validate(self) -> ValidationReport:
         rep = ValidationReport()
@@ -169,14 +185,15 @@ class PastOutcomeSelection:
         return DecisionTrace(d0=0, d1_given=(d1, d1), continuation=(0.0, 0.0), gains=None)
 
     def _grid(self):
-        for y00, y01, y10, y11 in product((0, 1), repeat=4):
-            p = (
-                _bern(y00, self.p_y00)
-                * self.trans_ctrl[y00][y10]
-                * _bern(y01, self.mean_y_treated[0])
-                * _bern(y11, self.mean_y_treated[1])
-            )
-            yield 0, (y00, y01, y10, y11), p
+        y = _PO16.T
+        trans = np.array(self.trans_ctrl)[y[0].astype(np.intp), y[2].astype(np.intp)]
+        p = (
+            _bern_col(y[0], self.p_y00)
+            * trans
+            * _bern_col(y[1], self.mean_y_treated[0])
+            * _bern_col(y[3], self.mean_y_treated[1])
+        )
+        yield 0, _PO16, p
 
     def to_json(self) -> dict:
         return {
@@ -208,6 +225,7 @@ class NoLearning:
     types: tuple[NoLearningType, ...]
 
     scenario_id = "no_learning"
+    reads = ()  # the type alone
 
     def validate(self) -> ValidationReport:
         rep = ValidationReport()
@@ -219,7 +237,7 @@ class NoLearning:
             if not (0.0 < ty.beta < 1.0):
                 rep.add("beta-range", f"beta = {ty.beta!r} outside (0,1)", f"types[{i}]")
             for v in (*ty.costs.k0, *ty.costs.k1[0], *ty.costs.k1[1]):
-                if not np.isfinite(v):
+                if not math.isfinite(v):
                     rep.add("cost-not-finite", f"non-finite cost in types[{i}]", v)
             taus.append(ty.mu[1][0] - ty.mu[0][0])
             if rep.ok:
@@ -255,11 +273,8 @@ class NoLearning:
 
     def _grid(self):
         for i, ty in enumerate(self.types):
-            for po in product((0, 1), repeat=4):
-                p = ty.prob
-                for (t, d), y in zip(((0, 0), (0, 1), (1, 0), (1, 1)), po):
-                    p *= _bern(y, ty.mu[t][d])
-                yield i, po, p
+            b = _bern_col(_PO16, np.array((*ty.mu[0], *ty.mu[1]))).T
+            yield i, _PO16, ty.prob * b[0] * b[1] * b[2] * b[3]
 
     def to_json(self) -> dict:
         return {
@@ -299,6 +314,7 @@ class TreatedArmLearning:
     types: tuple[TreatedLearningType, ...]
 
     scenario_id = "treated_arm_learning"
+    reads = (1,)  # y01
 
     def validate(self) -> ValidationReport:
         rep = ValidationReport()
@@ -391,18 +407,18 @@ class TreatedArmLearning:
 
     def _grid(self):
         for i, ty in enumerate(self.types):
-            for theta, w_theta in ty.prior:
-                for po in product((0, 1), repeat=4):
-                    y00, y01, y10, y11 = po
-                    p = (
-                        ty.prob
-                        * w_theta
-                        * _bern(y00, ty.mu_ctrl[0])
-                        * _bern(y01, theta)
-                        * _bern(y10, ty.mu_ctrl[1])
-                        * _bern(y11, theta)
-                    )
-                    yield i, po, p
+            theta, w_theta = np.repeat(np.array(ty.prior).reshape(-1, 2), 16, axis=0).T
+            po = np.tile(_PO16, (len(ty.prior), 1))
+            y = po.T
+            p = (
+                ty.prob
+                * w_theta
+                * _bern_col(y[0], ty.mu_ctrl[0])
+                * _bern_col(y[1], theta)
+                * _bern_col(y[2], ty.mu_ctrl[1])
+                * _bern_col(y[3], theta)
+            )
+            yield i, po, p
 
     def to_json(self) -> dict:
         return {
@@ -442,6 +458,7 @@ class ControlArmLearning:
     types: tuple[ControlLearningType, ...]
 
     scenario_id = "control_arm_learning"
+    reads = (0,)  # y00
 
     def validate(self) -> ValidationReport:
         rep = ValidationReport()
@@ -451,7 +468,7 @@ class ControlArmLearning:
             for j, (theta, _) in enumerate(ty.prior):
                 _check_unit(rep, theta, f"types[{i}].prior[{j}] rate")
             _check_unit(rep, ty.mu_treat1, f"types[{i}].mu_treat1")
-            if not np.isfinite(ty.ktilde1):
+            if not math.isfinite(ty.ktilde1):
                 rep.add("cost-not-finite", f"ktilde1 not finite in types[{i}]", ty.ktilde1)
             if rep.ok:
                 l0 = posterior_mean_or_prior(ty.prior, 0)
@@ -496,16 +513,17 @@ class ControlArmLearning:
     def _grid(self):
         # nobody is treated in period 0, so Y_0(1) never shows; it is stored as 0
         for i, ty in enumerate(self.types):
-            for theta, w_theta in ty.prior:
-                for y00, y10, y11 in product((0, 1), repeat=3):
-                    p = (
-                        ty.prob
-                        * w_theta
-                        * _bern(y00, theta)
-                        * _bern(y10, theta)
-                        * _bern(y11, ty.mu_treat1)
-                    )
-                    yield i, (y00, 0.0, y10, y11), p
+            theta, w_theta = np.repeat(np.array(ty.prior).reshape(-1, 2), 8, axis=0).T
+            po = np.tile(_PO8, (len(ty.prior), 1))
+            y = po.T
+            p = (
+                ty.prob
+                * w_theta
+                * _bern_col(y[0], theta)
+                * _bern_col(y[2], theta)
+                * _bern_col(y[3], ty.mu_treat1)
+            )
+            yield i, po, p
 
     def to_json(self) -> dict:
         return {
@@ -532,6 +550,11 @@ def _pmf16_from(entries) -> Pmf16:
     return tuple(sorted(((tuple(po), float(p)) for po, p in entries), key=lambda e: e[0]))
 
 
+def _pmf16_grid(pmf: Pmf16):
+    rows = np.array([(*po, p) for po, p in pmf], dtype=np.float64).reshape(-1, 5)
+    yield 0, rows[:, :4], rows[:, 4]
+
+
 def _validate_pmf16(rep: ValidationReport, pmf: Pmf16) -> None:
     _check_pmf(rep, [p for _, p in pmf], "pmf")
     seen = set()
@@ -551,6 +574,7 @@ class RoyRepeated:
     pmf: Pmf16
 
     scenario_id = "roy_repeated"
+    reads = (0, 1, 2, 3)
 
     def validate(self) -> ValidationReport:
         rep = ValidationReport()
@@ -559,7 +583,7 @@ class RoyRepeated:
 
     def decide(self, state: LatentState) -> DecisionTrace:
         y00, y01, y10, y11 = state.po.flat
-        if any(y not in (0.0, 1.0) for y in state.po.flat):
+        if not {y00, y01, y10, y11} <= {0.0, 1.0}:
             raise LabError("state-not-in-support", f"binary scenario got {state.po.flat}")
         d1 = int(y11 >= y10)
         w = max(y10, y11)
@@ -568,7 +592,7 @@ class RoyRepeated:
         )
 
     def _grid(self):
-        return ((0, po, p) for po, p in self.pmf)
+        return _pmf16_grid(self.pmf)
 
     def to_json(self) -> dict:
         return {
@@ -587,6 +611,7 @@ class RoyIrreversible:
     beta: float = 0.9
 
     scenario_id = "roy_irreversible"
+    reads = (0, 1, 2, 3)
 
     def validate(self) -> ValidationReport:
         rep = ValidationReport()
@@ -602,7 +627,7 @@ class RoyIrreversible:
 
     def decide(self, state: LatentState) -> DecisionTrace:
         y00, y01, y10, y11 = state.po.flat
-        if any(y not in (0.0, 1.0) for y in state.po.flat):
+        if not {y00, y01, y10, y11} <= {0.0, 1.0}:
             raise LabError("state-not-in-support", f"binary scenario got {state.po.flat}")
         w_untreated = max(y10, y11)
         w_treated = y11  # reversal is off the table
@@ -615,7 +640,7 @@ class RoyIrreversible:
         )
 
     def _grid(self):
-        return ((0, po, p) for po, p in self.pmf)
+        return _pmf16_grid(self.pmf)
 
     def to_json(self) -> dict:
         return {
@@ -648,6 +673,7 @@ class OptimalStopping:
     types: tuple[StoppingType, ...]
 
     scenario_id = "optimal_stopping"
+    reads = (0,)  # y00
 
     def validate(self) -> ValidationReport:
         rep = ValidationReport()
@@ -659,11 +685,11 @@ class OptimalStopping:
                 rep.add("pmf-support", f"types[{i}] has empty outcome support")
                 continue
             for (y0, y1), _ in ty.pmf:
-                if not (np.isfinite(y0) and np.isfinite(y1)):
+                if not (math.isfinite(y0) and math.isfinite(y1)):
                     rep.add("pmf-support", f"non-finite outcome pair in types[{i}]", y0, y1)
             if not (0.0 < ty.beta < 1.0):
                 rep.add("beta-range", f"beta = {ty.beta!r} outside (0,1)", f"types[{i}]")
-            if not (np.isfinite(ty.k0) and np.isfinite(ty.k1)):
+            if not (math.isfinite(ty.k0) and math.isfinite(ty.k1)):
                 rep.add("cost-not-finite", f"non-finite continuation cost in types[{i}]")
             if not rep.ok:
                 continue
@@ -720,9 +746,13 @@ class OptimalStopping:
 
     def _grid(self):
         # a stopped unit's outcome is 0: the treated potential outcomes are 0
+        rows = np.array(
+            [(y0, 0.0, y1, 0.0, ty.prob * p) for ty in self.types for (y0, y1), p in ty.pmf], dtype=np.float64
+        ).reshape(-1, 5)
+        end = 0
         for i, ty in enumerate(self.types):
-            for (y0, y1), p in ty.pmf:
-                yield i, (y0, 0.0, y1, 0.0), ty.prob * p
+            start, end = end, end + len(ty.pmf)
+            yield i, rows[start:end, :4], rows[start:end, 4]
 
     def to_json(self) -> dict:
         return {
@@ -776,36 +806,43 @@ def decide(config: ScenarioConfig, state: LatentState) -> DecisionTrace:
 def build_joint(config: ScenarioConfig) -> JointDistribution:
     """Enumerate the exact population joint distribution for a scenario.
 
-    The scenario's _grid() yields every grid point as (type index,
-    (y00, y01, y10, y11), probability) in canonical order — lexicographic in
-    (type index, latent grid index, outcome tuple) — which inverse-cdf draws
-    depend on.  Atoms keep that order and zero-probability points are
-    dropped.  The decision rule runs once per distinct latent state; a grid
-    lists each type's points together, so only one type's decisions are
-    held at a time.  Probabilities are renormalized by their total so the
-    result carries unit mass to within 1e-12 even when config pmfs only sum
-    to 1 within the looser validation tolerance.
+    The scenario's _grid() yields one block per type: (type index, (m, 4)
+    potential outcomes [y00, y01, y10, y11], (m,) probabilities), with the
+    rows in canonical order — lexicographic in (latent grid index, outcome
+    tuple) — and the blocks in type order; inverse-cdf draws depend on that
+    order.  The cap on grid points is checked as each block arrives, before
+    its rows are decided.  Atoms keep the order and zero-probability points
+    are dropped.  The decision rule runs once per distinct (type, values of
+    the columns in config.reads) among the rows left, on the first row that
+    holds them.  Probabilities are renormalized by their total so the result
+    carries unit mass to within 1e-12 even when config pmfs only sum to 1
+    within the looser validation tolerance.
     """
     grid = getattr(config, "_grid", None)
     if grid is None:
         raise LabError("wrong-scenario", f"not a scenario config: {type(config).__name__}")
-    u0_type, po, prob, cell = array("q"), array("d"), array("d"), array("b")
-    cells_type, cells = None, {}  # po -> 2 * d0 + d1 for type cells_type
-    for count, (u, y, p) in enumerate(grid(), start=1):
+    key = itemgetter(*config.reads) if config.reads else lambda row: ()
+    u0_type, cell, po, prob = array("q"), array("b"), [], []
+    count = 0
+    for u, y, p in grid():
+        count += len(p)
         if count > MAX_ATOMS:
             raise LabError("support-too-large", f"support exceeds the cap of {MAX_ATOMS} atoms")
-        if p == 0.0:
-            continue
-        if u != cells_type:
-            cells_type, cells = u, {}
-        if y not in cells:
-            tr = config.decide(LatentState(u, PotentialOutcomes.of(*y))).realized()
-            cells[y] = 2 * tr.d0 + tr.d1
-        u0_type.append(u)
-        po.extend(y)
+        if np.count_nonzero(p) < len(p):
+            keep = p != 0.0
+            y, p = y[keep], p[keep]
+        rows = y.tolist()
+        keys = list(map(key, rows))
+        cells = {}  # values of the read columns -> 2 * d0 + d1
+        for k, row in zip(keys, rows):
+            if k not in cells:
+                tr = config.decide(LatentState(u, PotentialOutcomes.of(*row))).realized()
+                cells[k] = 2 * tr.d0 + tr.d1
+        u0_type.extend([u] * len(keys))
+        cell.extend(map(cells.__getitem__, keys))
+        po.append(y)
         prob.append(p)
-        cell.append(cells[y])
-    weights = np.array(prob, dtype=np.float64)
+    weights = np.concatenate(prob or [np.empty(0)])
     total = float(np.sum(weights))
     if (weights < 0).any() or abs(total - 1.0) > PMF_TOL:
         raise LabError(
@@ -814,6 +851,7 @@ def build_joint(config: ScenarioConfig) -> JointDistribution:
     if total != 1.0:
         weights = weights / total
     c = np.array(cell, dtype=np.int8)
+    po = np.concatenate(po or [np.empty((0, 4))])
     joint = JointDistribution(u0_type, po, c >> 1, c & 1, weights, config.scenario_id)
     joint.check()
     return joint
@@ -909,7 +947,7 @@ def _num(obj, path: str) -> float:
     if isinstance(obj, bool) or not isinstance(obj, (int, float)):
         raise LabError("schema-error", f"expected a number, got {type(obj).__name__}", path)
     x = float(obj)
-    if not np.isfinite(x):
+    if not math.isfinite(x):
         raise LabError("schema-error", f"non-finite number {obj!r}", path)
     return x
 

@@ -2,10 +2,16 @@
 
 Everything here is written with plain dict/loops on the joint's atoms, on
 purpose: these must not share code paths (or numpy reductions) with the
-oracle module they check.
+oracle module they check.  brute_joint enumerates a scenario's latent grid
+point by point, apart from the library's per-type numpy blocks.
 """
 
 from collections import defaultdict
+from itertools import product
+
+import numpy as np
+
+from didlab.core import LatentState, PotentialOutcomes
 
 
 def brute_cells(joint):
@@ -211,4 +217,88 @@ def brute_estimates(panel):
             out[fn.__name__] = fn()
         except _Undefined as undefined:
             out[fn.__name__] = (undefined.code, None)
+    return out
+
+
+def _bern(y, p):
+    return p if y == 1 else 1.0 - p
+
+
+def _grid_points(config):
+    """Every latent grid point as (type, (y00, y01, y10, y11), probability),
+    one Python product at a time, in the canonical order: type, then latent
+    grid index, then outcome tuple."""
+    sid = config.scenario_id
+    if sid == "past_outcome_selection":
+        for y00, y01, y10, y11 in product((0, 1), repeat=4):
+            p = (
+                _bern(y00, config.p_y00)
+                * config.trans_ctrl[y00][y10]
+                * _bern(y01, config.mean_y_treated[0])
+                * _bern(y11, config.mean_y_treated[1])
+            )
+            yield 0, (y00, y01, y10, y11), p
+    elif sid == "no_learning":
+        for i, ty in enumerate(config.types):
+            for po in product((0, 1), repeat=4):
+                p = ty.prob
+                for (t, d), y in zip(((0, 0), (0, 1), (1, 0), (1, 1)), po):
+                    p *= _bern(y, ty.mu[t][d])
+                yield i, po, p
+    elif sid == "treated_arm_learning":
+        for i, ty in enumerate(config.types):
+            for theta, w in ty.prior:
+                for y00, y01, y10, y11 in product((0, 1), repeat=4):
+                    p = (
+                        ty.prob
+                        * w
+                        * _bern(y00, ty.mu_ctrl[0])
+                        * _bern(y01, theta)
+                        * _bern(y10, ty.mu_ctrl[1])
+                        * _bern(y11, theta)
+                    )
+                    yield i, (y00, y01, y10, y11), p
+    elif sid == "control_arm_learning":
+        for i, ty in enumerate(config.types):
+            for theta, w in ty.prior:
+                for y00, y10, y11 in product((0, 1), repeat=3):
+                    p = ty.prob * w * _bern(y00, theta) * _bern(y10, theta) * _bern(y11, ty.mu_treat1)
+                    yield i, (y00, 0, y10, y11), p
+    elif sid in ("roy_repeated", "roy_irreversible"):
+        for po, p in config.pmf:
+            yield 0, po, p
+    elif sid == "optimal_stopping":
+        for i, ty in enumerate(config.types):
+            for (y0, y1), p in ty.pmf:
+                yield i, (y0, 0, y1, 0), ty.prob * p
+    else:
+        raise ValueError(f"no reference grid for {sid!r}")
+
+
+def brute_joint(config):
+    """The joint's columns by point-by-point enumeration: the scalar decision
+    rule on every grid point of nonzero probability, no memo.  Keys are those
+    of JointDistribution.arrays() plus u0_type.  The renormalizing total is
+    np.sum's, as in the library, because callers compare bytes."""
+    rows = []
+    for u, po, p in _grid_points(config):
+        if p == 0.0:
+            continue
+        tr = config.decide(LatentState(u, PotentialOutcomes.of(*po))).realized()
+        flat = tuple(float(y) for y in po)
+        rows.append((u, flat, tr.d0, tr.d1, flat[tr.d0], flat[2 + tr.d1], p))
+    prob = np.array([r[6] for r in rows], dtype=np.float64)
+    total = float(np.sum(prob))
+    if total != 1.0:
+        prob = prob / total
+    out = {
+        "u0_type": np.array([r[0] for r in rows], dtype=np.int64),
+        "prob": prob,
+        "d0": np.array([r[2] for r in rows], dtype=np.int8),
+        "d1": np.array([r[3] for r in rows], dtype=np.int8),
+        "y0": np.array([r[4] for r in rows], dtype=np.float64),
+        "y1": np.array([r[5] for r in rows], dtype=np.float64),
+    }
+    for j, name in enumerate(("y00", "y01", "y10", "y11")):
+        out[name] = np.array([r[1][j] for r in rows], dtype=np.float64)
     return out

@@ -7,20 +7,24 @@ import pytest
 
 from didlab import corpus, scenarios
 from didlab._rng import uniforms
-from didlab.core import EXACT_TOL, JointDistribution
+from didlab.core import EXACT_TOL, JointDistribution, LatentState, PotentialOutcomes
 from didlab.errors import LabError
 from didlab.scenarios import (
     AtomSampler,
     NoLearning,
     NoLearningType,
+    OptimalStopping,
     RoyRepeated,
+    StoppingType,
+    TreatedArmLearning,
+    TreatedLearningType,
     build_joint,
     decide,
     draw_panel,
     scenario_from_json,
 )
 
-from _brute import brute_cells
+from _brute import brute_cells, brute_joint
 
 
 def test_all_shipped_joints_are_tight(shipped, shipped_joints):
@@ -65,6 +69,101 @@ def test_every_atom_follows_the_decision_rule(shipped, seeds):
             assert decide(cfg, atom.state).realized() == atom.treat, label
             flat = atom.state.po.flat
             assert (atom.y0, atom.y1) == (flat[atom.treat.d0], flat[2 + atom.treat.d1]), label
+
+
+def _wide_config(seed):
+    """A 4,800-atom no_learning config: 300 types of 16 atoms each."""
+    rng = np.random.default_rng(seed)
+    types = tuple(
+        NoLearningType(prob=1 / 300, mu=tuple(map(tuple, rng.uniform(0.05, 0.95, (2, 2)))))
+        for _ in range(300)
+    )
+    return NoLearning(types=types)
+
+
+def _wide_treated_config(seed):
+    """A 4,800-atom treated_arm_learning config: 60 types, each with a
+    5-rate prior, so 80 atoms per type."""
+    rng = np.random.default_rng(seed)
+    return TreatedArmLearning(
+        types=tuple(
+            TreatedLearningType(
+                prob=1 / 60,
+                prior=tuple((float(t), 0.2) for t in rng.uniform(0.05, 0.95, 5)),
+                mu_ctrl=(0.3, 0.5),
+                beta=float(rng.uniform(0.5, 0.95)),
+            )
+            for _ in range(60)
+        )
+    )
+
+
+def test_build_joint_is_byte_equal_to_the_point_enumeration(shipped, seeds):
+    """The per-type blocks and the memo on the read columns give the columns
+    of a point-by-point enumeration that runs the rule on every point."""
+    cases = list(shipped.items())
+    cases += [(f"{key}:{seed}", make(seed)) for key, make in _CORPUS_FAMILIES.items() for seed in seeds[key][:40]]
+    cases += [("wide:1", _wide_config(1)), ("wide_treated:1", _wide_treated_config(1))]
+    for label, cfg in cases:
+        joint = build_joint(cfg)
+        got = {**joint.arrays(), "u0_type": joint.u0_type}
+        want = brute_joint(cfg)
+        assert got.keys() == want.keys(), label
+        for key in want:
+            same = got[key].dtype == want[key].dtype and got[key].tobytes() == want[key].tobytes()
+            assert same, (label, key)
+        assert len(joint) == len(want["prob"]) and joint.scenario_id == cfg.scenario_id, label
+
+
+@pytest.mark.parametrize("make, calls_per_type", [(_wide_config, 1), (_wide_treated_config, 2)])
+def test_decide_runs_once_per_distinct_state_it_reads(monkeypatch, make, calls_per_type):
+    """no_learning's rule reads the type alone and treated_arm_learning's
+    reads y01 too, so a build makes one call per type, or at most two."""
+    cfg = make(3)
+    cls, rule, calls = type(cfg), type(cfg).decide, []
+
+    def counting(self, state):
+        calls.append((state.u0_type, state.po.y[0][1]))
+        return rule(self, state)
+
+    monkeypatch.setattr(cls, "decide", counting)
+    build_joint(cfg)
+    types = len(cfg.types)
+    assert len(calls) <= calls_per_type * types and len(set(calls)) == len(calls)
+    assert {u for u, _ in calls} == set(range(types))
+
+
+def _rejects(cfg, state):
+    with pytest.raises(LabError) as err:
+        decide(cfg, state)
+    return err.value.code == "state-not-in-support"
+
+
+def test_zero_probability_states_never_reach_the_rule():
+    # a rate of 0 makes every Y_0(1) = 1 point impossible, and the rule
+    # rejects that state
+    treated = TreatedArmLearning(types=(TreatedLearningType(prob=1.0, prior=((0.0, 1.0),), mu_ctrl=(0.3, 0.5)),))
+    assert _rejects(treated, LatentState(0, PotentialOutcomes.of(0, 1, 0, 0)))
+    assert len(build_joint(treated)) == 4
+    # a zero-weight pmf row at a y0 of its own: E[Y_1(0) | y0] is undefined
+    ty = StoppingType(prob=1.0, k0=0.0, k1=0.0, beta=0.9, pmf=(((1.0, 1.5), 1.0), ((3.0, 2.5), 0.0)))
+    stopping = OptimalStopping(types=(ty,))
+    assert _rejects(stopping, LatentState(0, PotentialOutcomes.of(3.0, 0.0, 2.5, 0.0)))
+    assert len(build_joint(stopping)) == 1
+
+
+def test_support_cap_counts_a_block_before_deciding_it(monkeypatch):
+    # one type, five rates, one with weight 0: 80 grid points, 64 atoms
+    prior = ((0.2, 0.25), (0.4, 0.25), (0.5, 0.0), (0.6, 0.25), (0.8, 0.25))
+    cfg = TreatedArmLearning(types=(TreatedLearningType(prob=1.0, prior=prior, mu_ctrl=(0.3, 0.5)),))
+    rule, calls = TreatedArmLearning.decide, []
+    monkeypatch.setattr(TreatedArmLearning, "decide", lambda self, state: calls.append(state) or rule(self, state))
+    monkeypatch.setattr(scenarios, "MAX_ATOMS", 79)
+    with pytest.raises(LabError) as err:
+        build_joint(cfg)
+    assert err.value.code == "support-too-large" and calls == []
+    monkeypatch.setattr(scenarios, "MAX_ATOMS", 80)
+    assert len(build_joint(cfg)) == 64
 
 
 def test_support_cap_stops_the_build(monkeypatch):
@@ -147,16 +246,6 @@ def _reference_index(joint, u):
     return np.minimum(np.searchsorted(np.cumsum(joint.prob), u, side="right"), len(joint) - 1)
 
 
-def _wide_joint(seed):
-    """A 4,800-atom no_learning joint: 300 types of 16 atoms each."""
-    rng = np.random.default_rng(seed)
-    types = tuple(
-        NoLearningType(prob=1 / 300, mu=tuple(map(tuple, rng.uniform(0.05, 0.95, (2, 2)))))
-        for _ in range(300)
-    )
-    return build_joint(NoLearning(types=types))
-
-
 # every bucket edge b/m of every guide table with m <= 2**14 buckets
 _EDGES = np.arange(2**14 + 1) / 2**14
 
@@ -187,7 +276,7 @@ def test_sampler_index_is_the_binary_search(shipped_joints, seeds):
         for key, make in _CORPUS_FAMILIES.items()
         for seed in seeds[key][:40]
     ]
-    cases += [(f"wide:{seed}", _wide_joint(seed)) for seed in (1, 2)]
+    cases += [(f"wide:{seed}", build_joint(_wide_config(seed))) for seed in (1, 2)]
     for label, joint in cases:
         _assert_sampler_matches_reference(joint, label)
 
