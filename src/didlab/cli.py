@@ -23,13 +23,13 @@ from .harness import (
     MAX_SEED,
     ExperimentConfig,
     oracle_block,
-    panel_csv_lines,
     parse_config,
     read_panel_csv,
     run_experiment,
+    sampled_panel_csv,
     write_outputs,
 )
-from .scenarios import build_joint, draw_panel
+from .scenarios import AtomSampler, build_joint
 
 __all__ = ["main"]
 
@@ -116,24 +116,21 @@ def _cmd_truth(args) -> int:
 
 def _cmd_simulate(args) -> int:
     cfg = _validated_config(args)
-    joint = build_joint(cfg.scenario)
-    panel = draw_panel(joint, cfg.n, derive_seed(cfg.seed, 0))
-    lines = panel_csv_lines(panel, cfg.emit_latent)
+    sampler = AtomSampler(build_joint(cfg.scenario))
+    text = sampled_panel_csv(sampler, cfg.n, derive_seed(cfg.seed, 0), cfg.emit_latent)
     if cfg.outputs:
         path = Path(cfg.outputs)
-        if path.suffix != ".csv":
-            path.mkdir(parents=True, exist_ok=True)
-            path = path / "panel.csv"
         try:
+            if path.suffix != ".csv":
+                path.mkdir(parents=True, exist_ok=True)
+                path = path / "panel.csv"
             with open(path, "w", encoding="utf-8", newline="\n") as fh:
-                for line in lines:
-                    fh.write(line + "\n")
+                fh.writelines(text)
         except OSError as e:
             raise LabError("io-error", f"cannot write panel: {e}", str(path)) from None
         _log(f"wrote {path}")
     else:
-        for line in lines:
-            print(line)
+        sys.stdout.writelines(text)
     return 0
 
 

@@ -3,9 +3,10 @@ deterministic file outputs.
 
 Every estimator is a function of the observed cell table, and a draw's table
 is a function of how many units landed on each atom.  So replications run
-serially on atom counts, drawn in fixed-size chunks, and only replication 0
-also builds its Panel, for panel.csv.  The counts do not depend on the chunk
-size, so the report and every output file are byte-stable.
+serially on atom counts, drawn in fixed-size chunks, and no replication builds
+a Panel: panel.csv streams replication 0's draws from the sampler chunk by
+chunk.  Neither the counts nor the rows depend on the chunk size, so the
+report and every output file are byte-stable.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from ._rng import derive_seed
 from .core import BoundsInterval, CELLS, JointDistribution, Panel, validate_scenario
 from .errors import LabError
 from .estimators import ALL_ESTIMATORS, ESTIMATORS, ObservedCells
-from .oracle import cell_table, check_conditions, pt_deviation, true_att_switchers
+from .oracle import _check_conditions, cell_table, pt_deviation, true_att_switchers
 from .scenarios import AtomSampler, ScenarioConfig, build_joint, scenario_from_json
 
 __all__ = [
@@ -88,6 +89,8 @@ def parse_config(text: Union[bytes, str]) -> ExperimentConfig:
         obj = json.loads(text)
     except json.JSONDecodeError as e:
         raise LabError("parse-error", f"{e.msg} at line {e.lineno}, column {e.colno}") from None
+    except ValueError as e:  # an integer literal past the interpreter's digit limit
+        raise LabError("parse-error", str(e)) from None
     if not isinstance(obj, dict):
         raise LabError("schema-error", "top-level config must be a JSON object")
     tag = obj.get("scenario")
@@ -133,8 +136,8 @@ class SummaryReport:
     """Aggregated experiment results plus the exact oracle block.
 
     rows carries the per-replication estimates for estimates.csv and
-    first_panel the replication-0 panel for panel.csv; neither is part of
-    the JSON summary.
+    sampler the sampler the replications drew from, which panel.csv
+    replays; neither is part of the JSON summary.
     """
 
     scenario_id: str
@@ -145,7 +148,7 @@ class SummaryReport:
     oracle: dict
     estimators: dict
     rows: list = field(repr=False, default_factory=list)
-    first_panel: Optional[Panel] = field(repr=False, default=None)
+    sampler: Optional[AtomSampler] = field(repr=False, compare=False, default=None)
 
     def to_json(self) -> dict:
         return {
@@ -172,7 +175,7 @@ def _oracle_block(config: ScenarioConfig, joint: JointDistribution, estimator_id
         "scenario_id": config.scenario_id,
         "cells": table.to_json(),
         "pt_deviation": pt_deviation(table),
-        "conditions": check_conditions(config, joint).to_json(),
+        "conditions": _check_conditions(config, joint, table).to_json(),
     }
     try:
         block["true_att_switchers"] = true_att_switchers(joint)
@@ -197,22 +200,15 @@ def _oracle_block(config: ScenarioConfig, joint: JointDistribution, estimator_id
 
 def _replicate(sampler: AtomSampler, cfg: ExperimentConfig, r: int):
     """Draw replication r's atom counts and run every estimator on their cell
-    table; replication 0 draws its panel and counts its atom indices.  A
-    failure is kept as its error code."""
-    seed = derive_seed(cfg.seed, r)
-    if r == 0:
-        panel = sampler.panel(cfg.n, seed)
-        counts = np.bincount(panel.atom_index, minlength=len(sampler.joint))
-    else:
-        panel, counts = None, sampler.counts(cfg.n, seed)
-    cells = ObservedCells(sampler.joint, counts)
+    table.  A failure is kept as its error code."""
+    cells = ObservedCells(sampler.joint, sampler.counts(cfg.n, derive_seed(cfg.seed, r)))
     results = []
     for est_id in cfg.estimators:
         try:
             results.append((est_id, ESTIMATORS[est_id](cells).value))
         except LabError as e:
             results.append((est_id, e.code))
-    return panel, results
+    return results
 
 
 def _unit_scale(largest: float) -> float:
@@ -276,11 +272,10 @@ def run_experiment(cfg: ExperimentConfig) -> SummaryReport:
     sampler = AtomSampler(joint)
     outcomes = [_replicate(sampler, cfg, r) for r in range(cfg.replications)]
 
-    first_panel = outcomes[0][0]
     rows: list = []
     collected: dict[str, list] = {est_id: [] for est_id in cfg.estimators}
     errors: dict[str, dict[str, int]] = {est_id: {} for est_id in cfg.estimators}
-    for r, (_, results) in enumerate(outcomes):
+    for r, results in enumerate(outcomes):
         for est_id, value in results:
             if isinstance(value, str):
                 tally = errors[est_id]
@@ -313,7 +308,7 @@ def run_experiment(cfg: ExperimentConfig) -> SummaryReport:
         oracle=oracle,
         estimators=aggregates,
         rows=rows,
-        first_panel=first_panel,
+        sampler=sampler,
     )
 
 
@@ -325,25 +320,46 @@ def _fmt(x) -> str:
     return _jsonio.format_float(float(x))
 
 
-def panel_csv_lines(panel: Panel, emit_latent: bool):
-    """Yield panel.csv lines (no trailing newline).  Latent columns need the
-    panel to carry potential outcomes."""
-    if emit_latent and not panel.has_latent:
-        raise LabError("latent-required", "panel has no latent columns to emit")
-    header = PANEL_HEADER_LATENT if emit_latent else PANEL_HEADER
-    yield ",".join(header)
+def _panel_header(emit_latent: bool) -> str:
+    return ",".join(PANEL_HEADER_LATENT if emit_latent else PANEL_HEADER)
+
+
+def _panel_rows(panel: Panel, emit_latent: bool, start: int = 0):
+    """Yield the panel.csv rows of panel, its units numbered from start."""
     for i in range(panel.n):
-        cells = [str(i), str(int(panel.d0[i])), str(int(panel.d1[i])), _fmt(panel.y0[i]), _fmt(panel.y1[i])]
+        cells = [str(start + i), str(int(panel.d0[i])), str(int(panel.d1[i])), _fmt(panel.y0[i]), _fmt(panel.y1[i])]
         if emit_latent:
             cells.extend(_fmt(panel.po[i, j]) for j in range(4))
         yield ",".join(cells)
 
 
+def panel_csv_lines(panel: Panel, emit_latent: bool):
+    """Yield panel.csv lines (no trailing newline).  Latent columns need the
+    panel to carry potential outcomes."""
+    if emit_latent and not panel.has_latent:
+        raise LabError("latent-required", "panel has no latent columns to emit")
+    yield _panel_header(emit_latent)
+    yield from _panel_rows(panel, emit_latent)
+
+
+def sampled_panel_csv(sampler: AtomSampler, n: int, seed: int, emit_latent: bool):
+    """Yield the text of panel.csv for the n draws of stream seed, header
+    first, then one newline-terminated block per sampler chunk.  The bytes
+    equal those of panel_csv_lines(sampler.panel(n, seed), emit_latent), and
+    memory stays O(COUNT_CHUNK + atoms) at any n."""
+    yield _panel_header(emit_latent) + "\n"
+    for start, chunk in sampler.panel_chunks(n, seed):
+        yield "\n".join(_panel_rows(chunk, emit_latent, start)) + "\n"
+
+
 def write_outputs(report: SummaryReport, panels, out_dir) -> list:
     """Write summary.json, estimates.csv, oracle.csv, panel.csv into out_dir.
 
-    All files are UTF-8 with LF endings and 17-significant-digit floats;
-    identical reports produce byte-identical directories."""
+    panel.csv holds panels[0] when panels is nonempty; otherwise it replays
+    replication 0 from report.sampler, streamed chunk by chunk, and without
+    a sampler it is not written.  All files are UTF-8 with LF endings and
+    17-significant-digit floats; identical reports produce byte-identical
+    directories."""
     out = Path(out_dir)
     try:
         out.mkdir(parents=True, exist_ok=True)
@@ -351,21 +367,21 @@ def write_outputs(report: SummaryReport, panels, out_dir) -> list:
         raise LabError("io-error", f"cannot create output directory: {e}", str(out)) from None
     written = []
 
-    def _write_text(name: str, payload: str):
+    def _write_text(name: str, blocks):
         path = out / name
         try:
             with open(path, "w", encoding="utf-8", newline="\n") as fh:
-                fh.write(payload)
+                fh.writelines(blocks)
         except OSError as e:
             raise LabError("io-error", f"cannot write {name}: {e}", str(path)) from None
         written.append(path)
 
-    _write_text("summary.json", _jsonio.dumps(report.to_json(), indent=2) + "\n")
+    _write_text("summary.json", [_jsonio.dumps(report.to_json(), indent=2) + "\n"])
 
     est_lines = ["replication,estimator_id,value,lower,upper"]
     for r, est_id, value, lower, upper in report.rows:
         est_lines.append(f"{r},{est_id},{_fmt(value)},{_fmt(lower)},{_fmt(upper)}")
-    _write_text("estimates.csv", "\n".join(est_lines) + "\n")
+    _write_text("estimates.csv", ["\n".join(est_lines) + "\n"])
 
     cells = report.oracle.get("cells", {})
     oracle_lines = ["d0,d1,prob,trend_mean,level_y0,level_y1"]
@@ -377,11 +393,13 @@ def write_outputs(report: SummaryReport, panels, out_dir) -> list:
             oracle_lines.append(
                 f"{d0},{d1},{_fmt(st['prob'])},{_fmt(st['trend_mean'])},{_fmt(st['level_y0'])},{_fmt(st['level_y1'])}"
             )
-    _write_text("oracle.csv", "\n".join(oracle_lines) + "\n")
+    _write_text("oracle.csv", ["\n".join(oracle_lines) + "\n"])
 
-    panel = panels[0] if panels else report.first_panel
-    if panel is not None:
-        _write_text("panel.csv", "\n".join(panel_csv_lines(panel, report.emit_latent)) + "\n")
+    if panels:
+        _write_text("panel.csv", ["\n".join(panel_csv_lines(panels[0], report.emit_latent)) + "\n"])
+    elif report.sampler is not None:
+        seed = derive_seed(report.seed, 0)
+        _write_text("panel.csv", sampled_panel_csv(report.sampler, report.n, seed, report.emit_latent))
     return written
 
 

@@ -227,9 +227,9 @@ def stopping_residual(config: OptimalStopping) -> float:
     total_delta0 = 0.0
     p00 = 0.0
     tau = 0.0
-    for ty in config.types:
+    for i, ty in enumerate(config.types):
         tau += ty.prob * sum(p * (y1 - y0) for (y0, y1), p in ty.pmf)
-        if config._cont0(ty) <= 0.0:
+        if config._cont0s[i] <= 0.0:
             continue  # the whole type stops in period 0
         for y0 in config._support0(ty):
             p = sum(q for (a, _), q in ty.pmf if a == y0)
@@ -243,13 +243,18 @@ def stopping_residual(config: OptimalStopping) -> float:
 def check_conditions(config: ScenarioConfig, joint: JointDistribution) -> ConditionReport:
     """Evaluate, exactly, the iff-condition for parallel trends that applies
     to the scenario, alongside the measured deviation it characterizes."""
+    return _check_conditions(config, joint, cell_table(joint))
+
+
+def _check_conditions(config: ScenarioConfig, joint: JointDistribution, table: CellTable) -> ConditionReport:
+    """check_conditions, given the joint's cell table."""
     if joint.scenario_id and joint.scenario_id != config.scenario_id:
         raise LabError(
             "wrong-scenario",
             f"joint was built from {joint.scenario_id!r}, config is {config.scenario_id!r}",
         )
     arr = joint.arrays()
-    dev = pt_deviation(cell_table(joint))
+    dev = pt_deviation(table)
     gap = float(np.sum(arr["prob"] * (arr["y10"] - arr["y00"])))
     report = ConditionReport(
         scenario_id=config.scenario_id,

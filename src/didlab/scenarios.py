@@ -21,6 +21,7 @@ from __future__ import annotations
 import math
 from array import array
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import product
 from operator import itemgetter
 from typing import Optional, Sequence
@@ -730,13 +731,18 @@ class OptimalStopping:
             total += p * (y0 + ty.beta * max(0.0, self._m(ty, y0) - ty.k1))
         return total - ty.k0
 
+    @cached_property
+    def _cont0s(self) -> tuple[float, ...]:
+        """_cont0 of each type, by type index, computed once per config."""
+        return tuple(self._cont0(ty) for ty in self.types)
+
     def decide(self, state: LatentState) -> DecisionTrace:
         if not 0 <= state.u0_type < len(self.types):
             raise LabError("state-not-in-support", f"type index {state.u0_type} out of range")
         ty = self.types[state.u0_type]
         y0 = state.po.y[0][0]
         mu = self._m(ty, y0)  # raises state-not-in-support off the grid
-        cont0 = self._cont0(ty)
+        cont0 = self._cont0s[state.u0_type]
         return DecisionTrace(
             d0=int(cont0 <= 0),
             d1_given=(int(mu - ty.k1 <= 0), 1),
@@ -894,24 +900,38 @@ class AtomSampler:
             i[walking] = np.searchsorted(cdf, u[walking], side="right")
         return np.minimum(i, len(self.joint) - 1)
 
+    def _chunks(self, n: int, seed: int):
+        """The atom indices of the n draws of stream seed, COUNT_CHUNK draws
+        at a time, each slice with the offset of its first draw.  The draws
+        are counter-based, so the slices are those of one n-draw call."""
+        for offset in range(0, n, COUNT_CHUNK):
+            yield offset, self.index(_rng.uniforms(seed, min(COUNT_CHUNK, n - offset), offset))
+
     def counts(self, n: int, seed: int) -> np.ndarray:
         """Draws per atom among the n draws of stream seed: the bincount of
-        draw_panel's atom_index, made COUNT_CHUNK units at a time in
-        O(COUNT_CHUNK + atoms) memory.  The sums are integer, so the counts
-        do not depend on the chunk size."""
+        draw_panel's atom_index, in O(COUNT_CHUNK + atoms) memory.  The sums
+        are integer, so the counts do not depend on the chunk size."""
         k = len(self.joint)
         counts = np.zeros(k, dtype=np.int64)
-        for offset in range(0, n, COUNT_CHUNK):
-            u = _rng.uniforms(seed, min(COUNT_CHUNK, n - offset), offset)
-            counts += np.bincount(self.index(u), minlength=k)
+        for _, idx in self._chunks(n, seed):
+            counts += np.bincount(idx, minlength=k)
         return counts
+
+    def panel_chunks(self, n: int, seed: int):
+        """The n draws of stream seed as consecutive panels of at most
+        COUNT_CHUNK units, each with its first unit's offset; together they
+        are panel(n, seed), in O(COUNT_CHUNK + atoms) memory."""
+        for offset, idx in self._chunks(n, seed):
+            yield offset, self._gather(idx, seed)
 
     def panel(self, n: int, seed: int) -> Panel:
         """The n draws of stream seed as a panel with latent columns."""
         if n < 1:
             raise ValueError(f"panel size must be >= 1, got {n}")
+        return self._gather(self.index(_rng.uniforms(seed, n)), seed)
+
+    def _gather(self, idx: np.ndarray, seed: int) -> Panel:
         joint = self.joint
-        idx = self.index(_rng.uniforms(seed, n))
         return Panel(
             d0=joint.d0[idx],
             d1=joint.d1[idx],
@@ -946,7 +966,10 @@ def _expect_keys(obj: dict, required: set[str], optional: set[str], path: str) -
 def _num(obj, path: str) -> float:
     if isinstance(obj, bool) or not isinstance(obj, (int, float)):
         raise LabError("schema-error", f"expected a number, got {type(obj).__name__}", path)
-    x = float(obj)
+    try:
+        x = float(obj)
+    except OverflowError:
+        raise LabError("schema-error", "integer too large for a float", path) from None
     if not math.isfinite(x):
         raise LabError("schema-error", f"non-finite number {obj!r}", path)
     return x

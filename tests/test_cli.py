@@ -3,13 +3,17 @@
 import io
 import json
 import math
+import tracemalloc
 
 import pytest
 
+from didlab import scenarios
+from didlab._rng import derive_seed
 from didlab.cli import main
-from didlab.corpus import shipped_names, shipped_text
+from didlab.corpus import shipped_config, shipped_names, shipped_text
 from didlab.estimators import did_switchers, mts_bounds
-from didlab.harness import read_panel_csv
+from didlab.harness import panel_csv_lines, read_panel_csv
+from didlab.scenarios import build_joint, draw_panel
 
 
 def run(capsys, *argv):
@@ -81,6 +85,26 @@ def test_missing_config_file_exits_2(capsys):
     assert "[io-error]" in err
 
 
+def test_validate_huge_integer_exits_2(capsys, tmp_path):
+    # 1e400 as a JSON integer: a valid literal that no float can hold
+    path = tmp_path / "huge.json"
+    path.write_text('{"scenario": "roy_repeated", "pmf": [[0, 0, 0, 0, 1' + "0" * 400 + "]]}")
+    code, out, err = run(capsys, "validate", str(path))
+    assert code == 2
+    assert out == ""
+    assert "[schema-error]" in err and "/pmf/0/4" in err
+
+
+def test_validate_overlong_integer_exits_2(capsys, tmp_path):
+    # past the interpreter's limit on the digits of an integer literal
+    path = tmp_path / "long.json"
+    path.write_text('{"scenario": "roy_repeated", "pmf": [[0, 0, 0, 0, 1' + "0" * 5000 + "]]}")
+    code, out, err = run(capsys, "validate", str(path))
+    assert code == 2
+    assert out == ""
+    assert "[parse-error]" in err
+
+
 def test_stdin_config(capsys, monkeypatch):
     monkeypatch.setattr("sys.stdin", io.StringIO(shipped_text("known_means")))
     code, out, _ = run(capsys, "validate", "-")
@@ -150,6 +174,44 @@ def test_simulate_to_csv_file(capsys, tmp_path):
     code, _, err = run(capsys, "simulate", "known_means", "--n", "8", "--out", str(target))
     assert code == 0
     assert target.exists() and "mine.csv" in err
+
+
+@pytest.mark.parametrize("emit_latent", [False, True])
+@pytest.mark.parametrize("n", [1, 6, 7, 8, 50])
+def test_simulate_streams_the_drawn_panel(capsys, monkeypatch, tmp_path, n, emit_latent):
+    monkeypatch.setattr(scenarios, "COUNT_CHUNK", 7)
+    panel = draw_panel(build_joint(shipped_config("stopping_informative")), n, derive_seed(9, 0))
+    want = "\n".join(panel_csv_lines(panel, emit_latent)) + "\n"
+    argv = ["simulate", "stopping_informative", "--n", str(n), "--seed", "9"]
+    argv += ["--emit-latent"] if emit_latent else []
+    code, out, _ = run(capsys, *argv)
+    assert code == 0 and out == want
+    code, _, _ = run(capsys, *argv, "--out", str(tmp_path / "p.csv"))
+    assert code == 0 and (tmp_path / "p.csv").read_bytes() == want.encode()
+
+
+@pytest.mark.parametrize("command", ["simulate", "experiment"])
+def test_streamed_panel_memory_does_not_grow_with_n(monkeypatch, tmp_path, command):
+    monkeypatch.setattr(scenarios, "COUNT_CHUNK", 256)
+    peaks = {}
+    for n in (2_048, 2_048, 16_384):  # the first run warms caches up
+        tracemalloc.start()
+        try:
+            argv = [command, "stopping_informative", "--n", str(n), "--emit-latent"]
+            assert main(argv + ["--out", str(tmp_path / str(n))]) == 0
+            peaks[n] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    # a 16,384-row latent panel.csv is about 1.5 MB of text
+    assert peaks[16_384] < 1.2 * peaks[2_048] + 16_384, peaks
+
+
+def test_simulate_unwritable_directory_exits_2(capsys, tmp_path):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    code, _, err = run(capsys, "simulate", "stopping_informative", "--n", "10", "--out", str(blocker / "sub"))
+    assert code == 2
+    assert "[io-error]" in err
 
 
 def test_simulate_bad_seed_exits_2(capsys):

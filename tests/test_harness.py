@@ -170,7 +170,7 @@ def test_run_experiment_shape(small_report):
         assert report.estimators[est_id]["n_ok"] == 5
         assert report.estimators[est_id]["errors"] == {}
     assert len(report.rows) == 15  # 3 working estimators x 5 replications
-    assert report.first_panel is not None and report.first_panel.n == 400
+    assert report.sampler is not None and report.sampler.joint.scenario_id == "no_learning"
 
 
 def test_rows_layout(small_report):
@@ -200,12 +200,13 @@ def test_aggregates_recomputable_from_rows(small_report):
     assert report.estimators["mts_bounds"]["coverage"] == pytest.approx(cov, abs=TOL)
 
 
-def test_replication_panels_follow_seed_derivation(small_report):
+def test_replication_panels_follow_seed_derivation(small_report, tmp_path):
     report, cfg = small_report
-    joint = build_joint(cfg.scenario)
-    again = draw_panel(joint, cfg.n, derive_seed(cfg.seed, 0))
-    assert np.array_equal(report.first_panel.d0, again.d0)
-    assert np.array_equal(report.first_panel.y1, again.y1)
+    write_outputs(report, [], tmp_path)
+    back = read_panel_csv(tmp_path / "panel.csv")
+    again = draw_panel(build_joint(cfg.scenario), cfg.n, derive_seed(cfg.seed, 0))
+    for col in ("d0", "d1", "y0", "y1"):
+        assert np.array_equal(getattr(back, col), getattr(again, col)), col
 
 
 def test_run_experiment_deterministic(small_report):
@@ -240,7 +241,7 @@ def test_run_experiment_builds_joint_once_and_one_table_per_panel(monkeypatch):
         assert counts.dtype == np.int64 and counts.sum() == cfg.n
 
 
-def test_run_experiment_keeps_only_first_panel(monkeypatch):
+def test_run_experiment_builds_no_panel(monkeypatch):
     built = []
 
     class Tracked(Panel):
@@ -253,7 +254,7 @@ def test_run_experiment_keeps_only_first_panel(monkeypatch):
     cfg.n, cfg.replications = 1000, 10
     report = run_experiment(cfg)
     assert report.estimators["did_sharp"]["errors"] == {"not-sharp-design": 10}
-    assert len(built) == 1 and built[0] is report.first_panel
+    assert built == []
 
 
 def test_run_experiment_revalidates():
@@ -310,6 +311,27 @@ def test_absent_cells_written_blank(shipped, tmp_path):
     by_cell = {l.split(",")[0] + l.split(",")[1]: l for l in lines[1:]}
     assert by_cell["10"].endswith(",0.0,,,")
     assert by_cell["11"].endswith(",0.0,,,")
+
+
+@pytest.mark.parametrize("emit_latent", [False, True])
+@pytest.mark.parametrize("n", [1, 6, 7, 8, 50])
+def test_streamed_panel_csv_matches_drawn_panel(shipped, monkeypatch, tmp_path, n, emit_latent):
+    # chunks of 7 units: one partial chunk, one exact, one and a bit, several
+    monkeypatch.setattr(scenarios, "COUNT_CHUNK", 7)
+    cfg = ExperimentConfig(
+        scenario=shipped["stopping_informative"], n=n, replications=2, seed=3, emit_latent=emit_latent
+    )
+    write_outputs(run_experiment(cfg), [], tmp_path)
+    panel = draw_panel(build_joint(cfg.scenario), n, derive_seed(cfg.seed, 0))
+    want = "\n".join(panel_csv_lines(panel, emit_latent)) + "\n"
+    assert (tmp_path / "panel.csv").read_bytes() == want.encode()
+
+
+def test_write_outputs_prefers_given_panel(small_report, tmp_path):
+    report, _ = small_report
+    panel = Panel(d0=[0, 1], d1=[1, 1], y0=[0.5, 2.0], y1=[1.0, 3.0])
+    write_outputs(report, [panel], tmp_path)
+    assert (tmp_path / "panel.csv").read_text() == "unit,d0,d1,y0,y1\n0,0,1,0.5,1.0\n1,1,1,2.0,3.0\n"
 
 
 # --- panel csv round trips ----------------------------------------------------------
