@@ -20,8 +20,8 @@ from .core import validate_scenario
 from .errors import LabError
 from .estimators import ESTIMATORS, ObservedCells
 from .harness import (
-    MAX_SEED,
     ExperimentConfig,
+    check_int_setting,
     oracle_block,
     parse_config,
     read_panel_csv,
@@ -53,33 +53,24 @@ def _log(msg: str) -> None:
     print(msg, file=sys.stderr)
 
 
-def _load_text(ref: str) -> str:
+def _load_text(ref: str) -> bytes | str:
+    """A config's text, as bytes where it comes from a file or stdin, so that
+    parse_config reports bytes that are not UTF-8 as a parse-error."""
     if ref == "-":
-        return sys.stdin.read()
+        return sys.stdin.buffer.read()
     if ref in shipped_names():
         return shipped_text(ref)
     try:
-        return Path(ref).read_text(encoding="utf-8")
+        return Path(ref).read_bytes()
     except OSError as e:
         raise LabError("io-error", f"cannot read config: {e}", ref) from None
 
 
 def _apply_overrides(cfg: ExperimentConfig, args) -> None:
-    seed = getattr(args, "seed", None)
-    if seed is not None:
-        if not (0 <= seed <= MAX_SEED):
-            raise LabError("schema-error", f"--seed {seed} outside [0, {MAX_SEED}]")
-        cfg.seed = seed
-    reps = getattr(args, "reps", None)
-    if reps is not None:
-        if reps < 1:
-            raise LabError("schema-error", f"--reps must be >= 1, got {reps}")
-        cfg.replications = reps
-    n = getattr(args, "n", None)
-    if n is not None:
-        if n < 1:
-            raise LabError("schema-error", f"--n must be >= 1, got {n}")
-        cfg.n = n
+    for flag, key in (("seed", "seed"), ("reps", "replications"), ("n", "n")):
+        value = getattr(args, flag, None)
+        if value is not None:
+            setattr(cfg, key, check_int_setting(key, value, f"--{flag}"))
     out = getattr(args, "out", None)
     if out is not None:
         cfg.outputs = out

@@ -420,8 +420,7 @@ def _uninformative_type(rng: random.Random, prob: float, tau: float, k1: float) 
 
 
 def _cont0_margin(ty: StoppingType) -> float:
-    cfg = OptimalStopping(types=(ty,))
-    return cfg._cont0(ty)
+    return OptimalStopping(types=(ty,))._cont0s[0]
 
 
 def _informative_type(rng: random.Random, prob: float, tau: float, k1: float) -> StoppingType:

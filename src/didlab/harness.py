@@ -68,9 +68,16 @@ class ExperimentConfig:
         return out
 
 
-def _expect_int(obj, lo: int, hi: int, path: str) -> int:
+# Bounds of the integer settings, for a config file and the CLI's overrides
+# alike: run_experiment keeps O(replications) lists, and n bounds a panel.
+_INT_SETTINGS = {"n": (1, 10**9), "replications": (1, 10**6), "seed": (0, MAX_SEED)}
+
+
+def check_int_setting(key: str, obj, path: str) -> int:
+    """obj as the value of the integer setting key, or a schema-error at path."""
     if isinstance(obj, bool) or not isinstance(obj, int):
         raise LabError("schema-error", "expected an integer", path)
+    lo, hi = _INT_SETTINGS[key]
     if not (lo <= obj <= hi):
         raise LabError("schema-error", f"value {obj} outside [{lo}, {hi}]", path)
     return obj
@@ -106,12 +113,9 @@ def parse_config(text: Union[bytes, str]) -> ExperimentConfig:
         if key not in known:
             raise LabError("schema-error", f"unknown key {key!r}", f"/{key}")
     cfg = ExperimentConfig(scenario=scenario_from_json(tag, path="/scenario"))
-    if "n" in obj:
-        cfg.n = _expect_int(obj["n"], 1, 10**9, "/n")
-    if "replications" in obj:
-        cfg.replications = _expect_int(obj["replications"], 1, 10**6, "/replications")
-    if "seed" in obj:
-        cfg.seed = _expect_int(obj["seed"], 0, MAX_SEED, "/seed")
+    for key in _INT_SETTINGS:
+        if key in obj:
+            setattr(cfg, key, check_int_setting(key, obj[key], f"/{key}"))
     if "estimators" in obj:
         ests = obj["estimators"]
         if not isinstance(ests, list) or not ests:
@@ -410,6 +414,8 @@ def read_panel_csv(path) -> Panel:
             lines = fh.read().splitlines()
     except OSError as e:
         raise LabError("io-error", f"cannot read panel: {e}", str(path)) from None
+    except UnicodeDecodeError as e:
+        raise LabError("parse-error", f"panel is not valid UTF-8: {e}", str(path)) from None
     if not lines:
         raise LabError("parse-error", "panel file is empty", str(path))
     header = tuple(lines[0].split(","))

@@ -231,9 +231,10 @@ def stopping_residual(config: OptimalStopping) -> float:
         tau += ty.prob * sum(p * (y1 - y0) for (y0, y1), p in ty.pmf)
         if config._cont0s[i] <= 0.0:
             continue  # the whole type stops in period 0
-        for y0 in config._support0(ty):
-            p = sum(q for (a, _), q in ty.pmf if a == y0)
-            m = config._m(ty, y0)
+        sums = config._sums[i]
+        for y0 in sums.support:
+            p = sums.mass[y0]
+            m = sums.m(y0)
             if m - ty.k1 > 0.0:  # continues through period 1
                 total_delta0 += ty.prob * (m - y0) * p
                 p00 += ty.prob * p

@@ -6,11 +6,13 @@ oracle module they check.  brute_joint enumerates a scenario's latent grid
 point by point, apart from the library's per-type numpy blocks.
 """
 
+from bisect import bisect_right
 from collections import defaultdict
 from itertools import product
 
 import numpy as np
 
+from didlab._rng import uniform_at
 from didlab.core import LatentState, PotentialOutcomes
 
 
@@ -302,3 +304,18 @@ def brute_joint(config):
     for j, name in enumerate(("y00", "y01", "y10", "y11")):
         out[name] = np.array([r[1][j] for r in rows], dtype=np.float64)
     return out
+
+
+def brute_counts(joint, n, seed):
+    """Draws per atom among the n draws of stream seed, one draw at a time:
+    the first atom whose running-sum cdf exceeds the draw, or the last atom
+    when none does.  Shares no code with AtomSampler."""
+    cdf = []
+    total = 0.0
+    for p in joint.prob.tolist():
+        total += p
+        cdf.append(total)
+    counts = [0] * len(cdf)
+    for i in range(n):
+        counts[min(bisect_right(cdf, uniform_at(seed, i)), len(cdf) - 1)] += 1
+    return counts

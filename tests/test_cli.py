@@ -7,7 +7,7 @@ import tracemalloc
 
 import pytest
 
-from didlab import scenarios
+from didlab import cli, scenarios
 from didlab._rng import derive_seed
 from didlab.cli import main
 from didlab.corpus import shipped_config, shipped_names, shipped_text
@@ -105,11 +105,39 @@ def test_validate_overlong_integer_exits_2(capsys, tmp_path):
     assert "[parse-error]" in err
 
 
+def _stdin(data: bytes):
+    """A stand-in for sys.stdin: a text stream over a byte buffer, like the real one."""
+    return io.TextIOWrapper(io.BytesIO(data), encoding="utf-8")
+
+
 def test_stdin_config(capsys, monkeypatch):
-    monkeypatch.setattr("sys.stdin", io.StringIO(shipped_text("known_means")))
+    monkeypatch.setattr("sys.stdin", _stdin(shipped_text("known_means").encode()))
     code, out, _ = run(capsys, "validate", "-")
     assert code == 0
     assert json.loads(out)["ok"] is True
+
+
+_NOT_UTF8 = b'{"scenario": "roy_repeated", "pmf": [[0, 0, 0, 0, 1]], "note": "\xff"}'
+
+
+@pytest.mark.parametrize("command", ["validate", "estimate"])
+def test_non_utf8_config_exits_2(capsys, tmp_path, command):
+    path = tmp_path / "bad.json"
+    path.write_bytes(_NOT_UTF8)
+    panel = tmp_path / "panel.csv"
+    panel.write_text("unit,d0,d1,y0,y1\n0,0,0,0,0\n")
+    argv = [command, str(path)] + (["--panel", str(panel)] if command == "estimate" else [])
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert "[parse-error]" in err and "UTF-8" in err
+
+
+def test_non_utf8_stdin_exits_2(capsys, monkeypatch):
+    monkeypatch.setattr("sys.stdin", _stdin(_NOT_UTF8))
+    code, _, err = run(capsys, "validate", "-")
+    assert code == 2
+    assert "[parse-error]" in err
 
 
 # --- truth -------------------------------------------------------------------------
@@ -220,7 +248,39 @@ def test_simulate_bad_seed_exits_2(capsys):
     assert "[schema-error]" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["experiment", "known_means", "--reps", "1000001"],
+        ["simulate", "known_means", "--n", "1000000001"],
+    ],
+)
+def test_overrides_obey_the_config_bounds(capsys, monkeypatch, tmp_path, argv):
+    def no_work(*_):
+        raise AssertionError("work began before the overrides were checked")
+
+    monkeypatch.setattr(cli, "validate_scenario", no_work)
+    out_dir = tmp_path / "out"
+    code, out, err = run(capsys, *argv, "--out", str(out_dir))
+    assert code == 2
+    assert out == ""
+    assert "[schema-error]" in err and argv[2] in err
+    assert not out_dir.exists()
+
+
 # --- estimate ----------------------------------------------------------------------
+
+
+def test_estimate_non_utf8_panel_exits_2(capsys, tmp_path):
+    panel_path = tmp_path / "panel.csv"
+    run(capsys, "simulate", "roy_repeated", "--n", "20", "--seed", "2", "--out", str(panel_path))
+    lines = panel_path.read_bytes().splitlines(keepends=True)
+    lines[3] = lines[3].replace(b"0", b"\xff", 1)
+    panel_path.write_bytes(b"".join(lines))
+    code, out, err = run(capsys, "estimate", "roy_repeated", "--panel", str(panel_path))
+    assert code == 2
+    assert out == ""
+    assert "[parse-error]" in err and str(panel_path) in err
 
 
 def test_estimate_matches_direct_calls(capsys, tmp_path):

@@ -134,6 +134,26 @@ def test_uniforms_offset_slices_the_same_stream():
     assert _rng.uniform_at(9, 17) == full[17]
 
 
+@pytest.mark.parametrize("seed", [0, 9, 2**63, 2**64 - 1])
+@pytest.mark.parametrize("n, chunk", [(23, 7), (21, 7), (5, 1), (4, 64)])
+def test_word_chunks_are_the_stream_across_chunk_edges(seed, n, chunk):
+    # seeds near 2^64 wrap seed + (i+1)*GOLDEN; the chunks reuse two buffers
+    got = []
+    for offset, words in _rng.word_chunks(seed, n, chunk):
+        assert offset == len(got) and words.dtype == np.uint64 and 0 < len(words) <= chunk
+        got.extend(_rng.to_unit(words).tolist())
+    assert got == [_rng.uniform_at(seed, i) for i in range(n)]
+    assert got == _rng.uniforms(seed, n).tolist()
+    assert _rng.uniforms(seed, 4, offset=n).tolist() == [_rng.uniform_at(seed, n + i) for i in range(4)]
+
+
+@pytest.mark.parametrize("seed", [0, 2**64 - 1])
+def test_uniforms_across_their_chunk_edges(seed):
+    u = _rng.uniforms(seed, 2**15 + 3, offset=5)
+    for i in (0, 2**14 - 1, 2**14, 2**15, 2**15 + 2):
+        assert u[i] == _rng.uniform_at(seed, 5 + i), i
+
+
 # --- JSON writer -----------------------------------------------------------
 
 

@@ -2,8 +2,9 @@
 
 import pytest
 
-from didlab.core import CostTable, LatentState, PotentialOutcomes
+from didlab.core import CostTable, LatentState, PotentialOutcomes, validate_scenario
 from didlab.errors import LabError
+from didlab.harness import oracle_block
 from didlab.scenarios import (
     ControlArmLearning,
     ControlLearningType,
@@ -16,8 +17,11 @@ from didlab.scenarios import (
     StoppingType,
     TreatedArmLearning,
     TreatedLearningType,
+    build_joint,
     decide,
 )
+
+from _brute import brute_stopping_residual
 
 
 def _state(y00, y01, y10, y11, u0_type=0, **kw):
@@ -197,3 +201,24 @@ def test_stopping_option_value_enters_period0():
     assert tr.d1_given == (1, 1)  # this branch has m = 1.5 <= k1
     tr_hi = decide(OptimalStopping(types=(ty,)), _state(3.0, 0.0, 2.5, 0.0))
     assert tr_hi.d1_given == (0, 1)
+
+
+def test_stopping_passes_over_a_pmf_do_not_grow_with_its_support():
+    # validate, build_joint and oracle_block group each pmf by y0 once per
+    # config; a pass over the whole pmf per distinct y0 would be O(P^2)
+    def passes(P):
+        count = [0]
+
+        class Pmf(tuple):
+            def __iter__(self):
+                count[0] += 1
+                return super().__iter__()
+
+        rows = Pmf(((i / P, i / P + (0.3 if i % 2 else -0.3)), 1.0 / P) for i in range(P))
+        cfg = OptimalStopping(types=(StoppingType(prob=1.0, k0=0.2, k1=0.6, beta=0.9, pmf=rows),))
+        assert validate_scenario(cfg).ok
+        block = oracle_block(cfg)
+        assert block["conditions"]["stopping_residual"] == pytest.approx(brute_stopping_residual(build_joint(cfg)), abs=1e-12)
+        return count[0]
+
+    assert passes(40) == passes(400)

@@ -4,6 +4,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from didlab import corpus, scenarios
 from didlab._rng import uniforms
@@ -24,7 +26,7 @@ from didlab.scenarios import (
     scenario_from_json,
 )
 
-from _brute import brute_cells, brute_joint
+from _brute import brute_cells, brute_counts, brute_joint
 
 
 def test_all_shipped_joints_are_tight(shipped, shipped_joints):
@@ -281,9 +283,27 @@ def test_sampler_index_is_the_binary_search(shipped_joints, seeds):
         _assert_sampler_matches_reference(joint, label)
 
 
+def _joint_of(prob):
+    """A joint with these atom probabilities and nothing else of interest."""
+    k = len(prob)
+    return JointDistribution(np.zeros(k), np.zeros((k, 4)), np.zeros(k), np.zeros(k), prob)
+
+
+def _short_joint():
+    """Three atoms whose cdf ends a rounding error below one."""
+    return JointDistribution([0, 0, 0], np.zeros((3, 4)), [0, 0, 1], [0, 1, 1], [0.25, 0.25, 0.5 - 1e-12])
+
+
+def _crowded_joint():
+    """2,999 atoms inside the first guide bucket, then one holding the rest."""
+    k = 3_000
+    prob = np.full(k, 1e-6 / (k - 1))
+    prob[-1] = 1.0 - 1e-6
+    return _joint_of(prob)
+
+
 def test_sampler_index_where_the_cdf_ends_below_one():
-    prob = [0.25, 0.25, 0.5 - 1e-12]
-    joint = JointDistribution([0, 0, 0], np.zeros((3, 4)), [0, 0, 1], [0, 1, 1], prob)
+    joint = _short_joint()
     assert np.cumsum(joint.prob)[-1] < 1.0
     _assert_sampler_matches_reference(joint, "short")
     tail = np.array([1.0 - 1e-12, 1.0 - 2e-13, 1.0 - 2.0**-53])
@@ -291,14 +311,19 @@ def test_sampler_index_where_the_cdf_ends_below_one():
 
 
 def test_sampler_index_where_many_atoms_share_a_bucket():
-    # 2,999 atoms inside the first bucket: walks past GUIDE_WALK_STEPS fall
-    # back to binary search
-    k = 3_000
-    prob = np.full(k, 1e-6 / (k - 1))
-    prob[-1] = 1.0 - 1e-6
-    joint = JointDistribution(np.zeros(k), np.zeros((k, 4)), np.zeros(k), np.zeros(k), prob)
+    # walks past GUIDE_WALK_STEPS fall back to binary search
+    joint = _crowded_joint()
     u = np.concatenate([np.linspace(0.0, 2e-6, 5_001), _edge_uniforms(joint)])
     assert np.array_equal(AtomSampler(joint).index(u), _reference_index(joint, u))
+
+
+def _counts_cases(shipped_joints):
+    cases = dict(shipped_joints)
+    cases.update({f"wide:{seed}": build_joint(_wide_config(seed)) for seed in (1, 2)})
+    cases.update(one_atom=_joint_of([1.0]), short=_short_joint(), crowded=_crowded_joint())
+    # a cdf ending far below one leaves whole buckets past the last atom
+    cases["deficit"] = _joint_of([0.3, 0.6])
+    return cases
 
 
 @pytest.mark.parametrize("chunk", [1, 7, None])
@@ -306,12 +331,65 @@ def test_chunked_counts_are_the_bincount_of_the_draws(shipped_joints, monkeypatc
     n = 40_000 if chunk is None else 500  # the default chunk splits 40,000 units three ways
     if chunk is not None:
         monkeypatch.setattr(scenarios, "COUNT_CHUNK", chunk)
-    for name in ("treated_arm_learning", "stopping_informative", "stationary_scale"):
-        joint = shipped_joints[name]
-        counts = AtomSampler(joint).counts(n, seed=13)
-        want = np.bincount(draw_panel(joint, n, seed=13).atom_index, minlength=len(joint))
-        assert counts.dtype == np.int64 and np.array_equal(counts, want), name
-        assert int(counts.sum()) == n
+    for name, joint in _counts_cases(shipped_joints).items():
+        for seed in (0, 13, 2**64 - 1):
+            counts = AtomSampler(joint).counts(n, seed)
+            want = np.bincount(draw_panel(joint, n, seed).atom_index, minlength=len(joint))
+            assert counts.dtype == np.int64 and np.array_equal(counts, want), (name, seed)
+            assert int(counts.sum()) == n
+
+
+def test_counts_histogram_where_few_buckets_are_mixed(shipped_joints):
+    # the wide joints have more than COUNT_MIXED_MAX of their buckets mixed,
+    # so they take the per-draw side of counts(); the rest the histogram
+    cases = _counts_cases(shipped_joints)
+    assert [name for name, joint in cases.items() if not AtomSampler(joint)._use_histogram] == ["wide:1", "wide:2"]
+
+
+def test_counts_index_only_the_draws_in_mixed_buckets(shipped_joints, monkeypatch):
+    joint = shipped_joints["stopping_informative"]
+    m = scenarios.GUIDE_MIN_BUCKETS
+    assert len(joint) <= m
+    seen = []
+    index = AtomSampler.index
+
+    def recording_index(self, u):
+        seen.append(u.copy())
+        return index(self, u)
+
+    monkeypatch.setattr(AtomSampler, "index", recording_index)
+    n, seed = 20_000, 5
+    AtomSampler(joint).counts(n, seed)
+    u = uniforms(seed, n)
+    # bucket b holds an atom edge, so its draws can land on two atoms, iff
+    # some cdf value lies in (b/m, (b+1)/m]
+    cdf = np.cumsum(joint.prob)
+    edge_buckets = np.ceil(cdf * m) - 1
+    in_mixed = np.isin(np.floor(u * m), edge_buckets)
+    got = np.concatenate(seen)
+    assert np.array_equal(np.sort(got), np.sort(u[in_mixed]))
+    assert 0 < got.size < n / 50
+
+
+@st.composite
+def _atom_probs(draw):
+    """1 to 3,000 atom probabilities, a drawn share of them tiny (1e-9 of
+    the rest), so that some guide buckets hold many atoms."""
+    k = draw(st.integers(1, 3_000))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    weights = rng.exponential(size=k)
+    weights[rng.random(k) < draw(st.sampled_from([0.0, 0.5, 0.99]))] *= 1e-9
+    return weights / weights.sum()
+
+
+@given(_atom_probs(), st.integers(1, 2_000), st.integers(0, 2**64 - 1), st.integers(1, 300))
+@settings(max_examples=60, deadline=None)
+def test_counts_match_the_draw_by_draw_reference(prob, n, seed, chunk):
+    joint = _joint_of(prob)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(scenarios, "COUNT_CHUNK", chunk)
+        counts = AtomSampler(joint).counts(n, seed)
+    assert counts.tolist() == brute_counts(joint, n, seed)
 
 
 # --- config serialization ----------------------------------------------------
