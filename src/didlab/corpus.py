@@ -210,8 +210,7 @@ def _treated_learning_type(
 
 def _treated_gains(ty: TreatedLearningType) -> float:
     # mirror the scenario's decision rule to measure the period-0 margin
-    cfg = TreatedArmLearning(types=(ty,))
-    return cfg._gains(ty)
+    return TreatedArmLearning(types=(ty,))._beliefs[0].gains()[0]
 
 
 def random_treated_learning(seed: int) -> TreatedArmLearning:

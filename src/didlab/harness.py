@@ -121,8 +121,10 @@ def parse_config(text: Union[bytes, str]) -> ExperimentConfig:
         if not isinstance(ests, list) or not ests:
             raise LabError("schema-error", "'estimators' must be a nonempty array of ids", "/estimators")
         for i, e in enumerate(ests):
-            if e not in ESTIMATORS:
+            if not isinstance(e, str) or e not in ESTIMATORS:
                 raise LabError("schema-error", f"unknown estimator id {e!r}", f"/estimators/{i}")
+            if e in ests[:i]:
+                raise LabError("schema-error", f"estimator id {e!r} is repeated", f"/estimators/{i}")
         cfg.estimators = tuple(ests)
     if "outputs" in obj:
         if not isinstance(obj["outputs"], str):
@@ -448,9 +450,8 @@ def read_panel_csv(path) -> Panel:
     if bad.size:
         line = [i for i, text in enumerate(lines[1:], start=2) if text][bad[0]]
         raise LabError("parse-error", f"line {line}: non-finite value", str(path))
-    d0 = mat[:, 1].astype(np.int8)
-    d1 = mat[:, 2].astype(np.int8)
+    # checked on the float columns: casting a value outside int8 first would warn
     if not (np.all((mat[:, 1] == 0) | (mat[:, 1] == 1)) and np.all((mat[:, 2] == 0) | (mat[:, 2] == 1))):
         raise LabError("schema-error", "d0/d1 columns must be 0 or 1", str(path))
     po = mat[:, 5:9] if latent else None
-    return Panel(d0=d0, d1=d1, y0=mat[:, 3], y1=mat[:, 4], po=po)
+    return Panel(d0=mat[:, 1].astype(np.int8), d1=mat[:, 2].astype(np.int8), y0=mat[:, 3], y1=mat[:, 4], po=po)

@@ -29,8 +29,6 @@ from .scenarios import (
     RoyIrreversible,
     RoyRepeated,
     ScenarioConfig,
-    posterior_mean_or_prior,
-    prior_mean,
 )
 
 __all__ = [
@@ -152,11 +150,12 @@ def classify_learners(config) -> LearnerClassification:
     # untreated draws are exchangeable across periods, so the common trend is
     # identically zero for every type
     tau = 0.0
-    for ty in config.types:
+    for i, ty in enumerate(config.types):
         a = ty.mu_treat1 - ty.ktilde1
-        l0 = posterior_mean_or_prior(ty.prior, 0)
-        l1 = posterior_mean_or_prior(ty.prior, 1)
-        mean = prior_mean(ty.prior)
+        beliefs = config._beliefs[i]
+        l0 = beliefs.post_or_prior(0)
+        l1 = beliefs.post_or_prior(1)
+        mean = beliefs.mean
         if a >= l1:
             p_a += ty.prob
         elif a < l0:

@@ -4,10 +4,15 @@ Each scenario is a small structural model of how units choose a two-period
 treatment sequence.  decide() reproduces the model's decision rule exactly
 (closed form over the finite config support, no simulation), `reads` names
 the potential-outcome columns that rule looks at besides the type, and
-_grid() enumerates the latent support one type at a time.  build_joint()
-turns any scenario's grid and rule into the full population distribution,
-and AtomSampler samples from it reproducibly: atom counts for a
-replication, or a panel (draw_panel()).
+_grid() enumerates the whole latent support as one block, sized in advance
+by _grid_size().  build_joint() turns any scenario's grid and rule into the
+full population distribution, and AtomSampler samples from it reproducibly:
+atom counts for a replication, or a panel (draw_panel()).
+
+A type's decision quantities (its trace, prior mean, posteriors, gains) are
+computed once per config, on first read, and shared by validate() and
+decide(); the cache lives beside the fields, so equality, hashing and
+dataclasses.replace() see the fields alone.
 
 Tie-breaking: the forward-looking choice scenarios treat at indifference
 (threshold statistic >= 0); the stopping scenario stops at indifference
@@ -19,11 +24,9 @@ convention.
 from __future__ import annotations
 
 import math
-from array import array
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import product
-from operator import itemgetter
 from typing import Optional, Sequence
 
 import numpy as np
@@ -119,6 +122,74 @@ def posterior_mean_or_prior(prior: Prior, observation: int) -> float:
         return prior_mean(prior)
 
 
+class _PerType:
+    """make(types[i]) for each type index i, computed on the first read of
+    that index and then kept, so a type that is never read costs nothing."""
+
+    __slots__ = ("_types", "_make", "_values")
+
+    def __init__(self, types, make):
+        self._types = types
+        self._make = make
+        self._values = [None] * len(types)
+
+    def __getitem__(self, i: int):
+        value = self._values[i]
+        if value is None:
+            value = self._values[i] = self._make(self._types[i])
+        return value
+
+
+class _Beliefs:
+    """A learning type's beliefs about its unknown arm: the prior mean, and
+    the posterior mean after one 0/1 observation, each computed once.  post()
+    raises impossible-observation, as posterior_mean does, and caches only
+    values."""
+
+    def __init__(self, ty):
+        self.ty = ty
+        self.mean = prior_mean(ty.prior)
+        self._post: dict[int, float] = {}
+
+    def post(self, y: int) -> float:
+        post = self._post.get(y)
+        if post is None:
+            post = self._post[y] = posterior_mean(self.ty.prior, [y])
+        return post
+
+    def post_or_prior(self, y: int) -> float:
+        """posterior_mean_or_prior(ty.prior, y)."""
+        try:
+            return self.post(y)
+        except LabError:
+            return self.mean
+
+
+class _TreatedBeliefs(_Beliefs):
+    """_Beliefs of a treated_arm_learning type, plus its period-0 gain and
+    continuation values, computed once on first read by gains()."""
+
+    def __init__(self, ty):
+        super().__init__(ty)
+        self._gains = None
+
+    def gains(self) -> tuple[float, tuple[float, float]]:
+        """The period-0 threshold statistic, and the period-0 expectations of
+        the period-1 value untreated and treated (W1(0), E W1(1))."""
+        if self._gains is None:
+            ty = self.ty
+            k0, k1 = ty.costs.k0, ty.costs.k1
+            w1_untreated = max(self.mean - k1[0][1], ty.mu_ctrl[1] - k1[0][0])
+            w1_treated = 0.0
+            for y in (0, 1):
+                w = _bern(y, self.mean)
+                if w > 0.0:
+                    w1_treated += w * max(self.post(y) - k1[1][1], ty.mu_ctrl[1] - k1[1][0])
+            gains = (self.mean - k0[1]) - (ty.mu_ctrl[0] - k0[0]) + ty.beta * (w1_treated - w1_untreated)
+            self._gains = gains, (w1_untreated, w1_treated)
+        return self._gains
+
+
 @dataclass(frozen=True)
 class DecisionTrace:
     """Full audit of one unit's decision problem.
@@ -138,24 +209,28 @@ class DecisionTrace:
         return TreatmentPair(self.d0, self.d1_given[self.d0])
 
 
-def _check_pmf(report: ValidationReport, weights, where: str) -> None:
+# The checks below name what they check by a str.format template and its
+# arguments, formatted only for a violation or a warning.
+
+
+def _check_pmf(report: ValidationReport, weights, where: str, *args) -> None:
     total = 0.0
     for i, w in enumerate(weights):
         if w < 0:
-            report.add("pmf-negative", f"negative probability {w!r}", f"{where}[{i}]")
+            report.add("pmf-negative", f"negative probability {w!r}", f"{where.format(*args)}[{i}]")
         total += w
     if abs(total - 1.0) > PMF_TOL:
-        report.add("pmf-sum", f"probabilities at {where} sum to {total!r}, not 1", total)
+        report.add("pmf-sum", f"probabilities at {where.format(*args)} sum to {total!r}, not 1", total)
 
 
-def _check_unit(report: ValidationReport, x: float, where: str) -> None:
+def _check_unit(report: ValidationReport, x: float, where: str, *args) -> None:
     if not (0.0 <= x <= 1.0):
-        report.add("prob-range", f"{where} = {x!r} outside [0, 1]", x)
+        report.add("prob-range", f"{where.format(*args)} = {x!r} outside [0, 1]", x)
 
 
-def _warn_edge(report: ValidationReport, stat: float, what: str) -> None:
+def _warn_edge(report: ValidationReport, stat: float, what: str, *args) -> None:
     if abs(stat) < KNIFE_EDGE_MARGIN:
-        report.warn(f"knife-edge: {what} = {stat!r} is within {KNIFE_EDGE_MARGIN} of the threshold")
+        report.warn(f"knife-edge: {what.format(*args)} = {stat!r} is within {KNIFE_EDGE_MARGIN} of the threshold")
 
 
 # ---------------------------------------------------------------------------
@@ -180,11 +255,11 @@ class PastOutcomeSelection:
         rep = ValidationReport()
         _check_unit(rep, self.p_y00, "p_y00")
         for i, row in enumerate(self.trans_ctrl):
-            _check_pmf(rep, row, f"trans_ctrl[{i}]")
+            _check_pmf(rep, row, "trans_ctrl[{}]", i)
             for j, p in enumerate(row):
-                _check_unit(rep, p, f"trans_ctrl[{i}][{j}]")
+                _check_unit(rep, p, "trans_ctrl[{}][{}]", i, j)
         for t, m in enumerate(self.mean_y_treated):
-            _check_unit(rep, m, f"mean_y_treated[{t}]")
+            _check_unit(rep, m, "mean_y_treated[{}]", t)
         return rep
 
     def decide(self, state: LatentState) -> DecisionTrace:
@@ -193,6 +268,9 @@ class PastOutcomeSelection:
             raise LabError("state-not-in-support", f"binary scenario got Y_0(0) = {y00!r}")
         d1 = 1 - int(y00)
         return DecisionTrace(d0=0, d1_given=(d1, d1), continuation=(0.0, 0.0), gains=None)
+
+    def _grid_size(self) -> int:
+        return 16
 
     def _grid(self):
         y = _PO16.T
@@ -203,7 +281,7 @@ class PastOutcomeSelection:
             * _bern_col(y[1], self.mean_y_treated[0])
             * _bern_col(y[3], self.mean_y_treated[1])
         )
-        yield 0, _PO16, p
+        return np.zeros(16, dtype=np.int64), _PO16, p
 
     def to_json(self) -> dict:
         return {
@@ -243,7 +321,7 @@ class NoLearning:
         taus = []
         for i, ty in enumerate(self.types):
             for t, d in product((0, 1), repeat=2):
-                _check_unit(rep, ty.mu[t][d], f"types[{i}].mu[{t}][{d}]")
+                _check_unit(rep, ty.mu[t][d], "types[{}].mu[{}][{}]", i, t, d)
             if not (0.0 < ty.beta < 1.0):
                 rep.add("beta-range", f"beta = {ty.beta!r} outside (0,1)", f"types[{i}]")
             for v in (*ty.costs.k0, *ty.costs.k1[0], *ty.costs.k1[1]):
@@ -251,10 +329,10 @@ class NoLearning:
                     rep.add("cost-not-finite", f"non-finite cost in types[{i}]", v)
             taus.append(ty.mu[1][0] - ty.mu[0][0])
             if rep.ok:
-                tr = self._type_trace(ty)
-                _warn_edge(rep, tr.gains, f"types[{i}] period-0 gain")
+                tr = self._traces[i]
+                _warn_edge(rep, tr.gains, "types[{}] period-0 gain", i)
                 for d0 in (0, 1):
-                    _warn_edge(rep, self._g1(ty, d0), f"types[{i}] period-1 gain given d0={d0}")
+                    _warn_edge(rep, self._g1(ty, d0), "types[{}] period-1 gain given d0={}", i, d0)
         if taus and max(taus) - min(taus) > EXACT_TOL:
             rep.add(
                 "tau-inconsistent",
@@ -276,15 +354,26 @@ class NoLearning:
         gains = (ty.mu[0][1] - k0[1]) - (ty.mu[0][0] - k0[0]) + ty.beta * (w1[1] - w1[0])
         return DecisionTrace(int(gains >= 0), d1_given, w1, gains)
 
+    @cached_property
+    def _traces(self) -> _PerType:
+        """Each type's _type_trace, by type index, once per config."""
+        return _PerType(self.types, self._type_trace)
+
     def decide(self, state: LatentState) -> DecisionTrace:
         if not 0 <= state.u0_type < len(self.types):
             raise LabError("state-not-in-support", f"type index {state.u0_type} out of range")
-        return self._type_trace(self.types[state.u0_type])
+        return self._traces[state.u0_type]
+
+    def _grid_size(self) -> int:
+        return 16 * len(self.types)
 
     def _grid(self):
-        for i, ty in enumerate(self.types):
-            b = _bern_col(_PO16, np.array((*ty.mu[0], *ty.mu[1]))).T
-            yield i, _PO16, ty.prob * b[0] * b[1] * b[2] * b[3]
+        k = len(self.types)
+        mu = np.array([ty.mu for ty in self.types], dtype=np.float64).reshape(k, 1, 4)
+        prob = np.array([ty.prob for ty in self.types], dtype=np.float64).reshape(k, 1)
+        b = _bern_col(_PO16, mu)  # (type, outcome tuple, column)
+        p = prob * b[..., 0] * b[..., 1] * b[..., 2] * b[..., 3]
+        return np.repeat(np.arange(k), 16), np.tile(_PO16, (k, 1)), p.ravel()
 
     def to_json(self) -> dict:
         return {
@@ -331,11 +420,11 @@ class TreatedArmLearning:
         _check_pmf(rep, [t.prob for t in self.types], "types")
         taus = []
         for i, ty in enumerate(self.types):
-            _check_pmf(rep, [w for _, w in ty.prior], f"types[{i}].prior")
+            _check_pmf(rep, [w for _, w in ty.prior], "types[{}].prior", i)
             for j, (theta, _) in enumerate(ty.prior):
-                _check_unit(rep, theta, f"types[{i}].prior[{j}] rate")
+                _check_unit(rep, theta, "types[{}].prior[{}] rate", i, j)
             for t in (0, 1):
-                _check_unit(rep, ty.mu_ctrl[t], f"types[{i}].mu_ctrl[{t}]")
+                _check_unit(rep, ty.mu_ctrl[t], "types[{}].mu_ctrl[{}]", i, t)
             if not (0.0 < ty.beta < 1.0):
                 rep.add("beta-range", f"beta = {ty.beta!r} outside (0,1)", f"types[{i}]")
             taus.append(ty.mu_ctrl[1] - ty.mu_ctrl[0])
@@ -350,85 +439,72 @@ class TreatedArmLearning:
         return rep
 
     def _warn_type(self, rep: ValidationReport, ty: TreatedLearningType, i: int) -> None:
-        ybar = prior_mean(ty.prior)
+        b = self._beliefs[i]
         k1 = ty.costs.k1
-        _warn_edge(rep, ybar - ty.mu_ctrl[1] - (k1[0][1] - k1[0][0]), f"types[{i}] period-1 gain given d0=0")
+        _warn_edge(rep, b.mean - ty.mu_ctrl[1] - (k1[0][1] - k1[0][0]), "types[{}] period-1 gain given d0=0", i)
         for y in (0, 1):
-            if _bern(y, ybar) == 0.0:
+            if _bern(y, b.mean) == 0.0:
                 continue
-            post = posterior_mean(ty.prior, [y])
             _warn_edge(
                 rep,
-                post - ty.mu_ctrl[1] - (k1[1][1] - k1[1][0]),
-                f"types[{i}] period-1 gain given d0=1, y01={y}",
+                b.post(y) - ty.mu_ctrl[1] - (k1[1][1] - k1[1][0]),
+                "types[{}] period-1 gain given d0=1, y01={}",
+                i,
+                y,
             )
-        _warn_edge(rep, self._gains(ty), f"types[{i}] period-0 gain")
+        _warn_edge(rep, b.gains()[0], "types[{}] period-0 gain", i)
 
-    def _w1_treated(self, ty: TreatedLearningType, y01: int) -> float:
-        post = posterior_mean(ty.prior, [y01])
-        k1 = ty.costs.k1[1]
-        return max(post - k1[1], ty.mu_ctrl[1] - k1[0])
-
-    def _w1_untreated(self, ty: TreatedLearningType) -> float:
-        k1 = ty.costs.k1[0]
-        return max(prior_mean(ty.prior) - k1[1], ty.mu_ctrl[1] - k1[0])
-
-    def _expected_w1_treated(self, ty: TreatedLearningType) -> float:
-        ybar = prior_mean(ty.prior)
-        out = 0.0
-        for y in (0, 1):
-            w = _bern(y, ybar)
-            if w > 0.0:
-                out += w * self._w1_treated(ty, y)
-        return out
-
-    def _gains(self, ty: TreatedLearningType) -> float:
-        ybar = prior_mean(ty.prior)
-        k0 = ty.costs.k0
-        return (ybar - k0[1]) - (ty.mu_ctrl[0] - k0[0]) + ty.beta * (
-            self._expected_w1_treated(ty) - self._w1_untreated(ty)
-        )
+    @cached_property
+    def _beliefs(self) -> _PerType:
+        """Each type's _TreatedBeliefs, by type index, once per config."""
+        return _PerType(self.types, _TreatedBeliefs)
 
     def decide(self, state: LatentState) -> DecisionTrace:
         if not 0 <= state.u0_type < len(self.types):
             raise LabError("state-not-in-support", f"type index {state.u0_type} out of range")
         ty = self.types[state.u0_type]
+        b = self._beliefs[state.u0_type]
         y01 = state.po.y[0][1]
         if y01 not in (0.0, 1.0):
             raise LabError("state-not-in-support", f"binary scenario got Y_0(1) = {y01!r}")
-        ybar = prior_mean(ty.prior)
         k1 = ty.costs.k1
-        d1_untreated = int(ybar - ty.mu_ctrl[1] - (k1[0][1] - k1[0][0]) >= 0)
+        d1_untreated = int(b.mean - ty.mu_ctrl[1] - (k1[0][1] - k1[0][0]) >= 0)
         try:
-            post = posterior_mean(ty.prior, [int(y01)])
+            post = b.post(int(y01))
         except LabError:
             raise LabError(
                 "state-not-in-support",
                 f"Y_0(1) = {int(y01)} impossible under types[{state.u0_type}] prior",
             )
         d1_treated = int(post - ty.mu_ctrl[1] - (k1[1][1] - k1[1][0]) >= 0)
-        gains = self._gains(ty)
+        gains, continuation = b.gains()
         return DecisionTrace(
             d0=int(gains >= 0),
             d1_given=(d1_untreated, d1_treated),
-            continuation=(self._w1_untreated(ty), self._expected_w1_treated(ty)),
+            continuation=continuation,
             gains=gains,
         )
 
+    def _grid_size(self) -> int:
+        return 16 * sum(len(ty.prior) for ty in self.types)
+
     def _grid(self):
-        for i, ty in enumerate(self.types):
-            theta, w_theta = np.repeat(np.array(ty.prior).reshape(-1, 2), 16, axis=0).T
-            po = np.tile(_PO16, (len(ty.prior), 1))
-            y = po.T
-            p = (
-                ty.prob
-                * w_theta
-                * _bern_col(y[0], ty.mu_ctrl[0])
-                * _bern_col(y[1], theta)
-                * _bern_col(y[2], ty.mu_ctrl[1])
-                * _bern_col(y[3], theta)
-            )
-            yield i, po, p
+        # one row per (type, prior point), crossed with the 16 outcome tuples
+        latent = np.array(
+            [(i, ty.prob, w, theta, *ty.mu_ctrl) for i, ty in enumerate(self.types) for theta, w in ty.prior],
+            dtype=np.float64,
+        ).reshape(-1, 6)
+        u, prob, w_theta, theta, ctrl0, ctrl1 = latent.T[:, :, None]
+        y = _PO16.T
+        p = (
+            prob
+            * w_theta
+            * _bern_col(y[0], ctrl0)
+            * _bern_col(y[1], theta)
+            * _bern_col(y[2], ctrl1)
+            * _bern_col(y[3], theta)
+        )
+        return np.repeat(u.ravel().astype(np.int64), 16), np.tile(_PO16, (len(latent), 1)), p.ravel()
 
     def to_json(self) -> dict:
         return {
@@ -474,15 +550,15 @@ class ControlArmLearning:
         rep = ValidationReport()
         _check_pmf(rep, [t.prob for t in self.types], "types")
         for i, ty in enumerate(self.types):
-            _check_pmf(rep, [w for _, w in ty.prior], f"types[{i}].prior")
+            _check_pmf(rep, [w for _, w in ty.prior], "types[{}].prior", i)
             for j, (theta, _) in enumerate(ty.prior):
-                _check_unit(rep, theta, f"types[{i}].prior[{j}] rate")
-            _check_unit(rep, ty.mu_treat1, f"types[{i}].mu_treat1")
+                _check_unit(rep, theta, "types[{}].prior[{}] rate", i, j)
+            _check_unit(rep, ty.mu_treat1, "types[{}].mu_treat1", i)
             if not math.isfinite(ty.ktilde1):
                 rep.add("cost-not-finite", f"ktilde1 not finite in types[{i}]", ty.ktilde1)
             if rep.ok:
-                l0 = posterior_mean_or_prior(ty.prior, 0)
-                l1 = posterior_mean_or_prior(ty.prior, 1)
+                b = self._beliefs[i]
+                l0, l1 = b.post_or_prior(0), b.post_or_prior(1)
                 if l0 > l1 + EXACT_TOL:
                     rep.add(
                         "posterior-not-monotone",
@@ -491,20 +567,26 @@ class ControlArmLearning:
                         l1,
                     )
                 a = ty.mu_treat1 - ty.ktilde1
-                _warn_edge(rep, a - l0, f"types[{i}] treated-value margin at l0")
-                _warn_edge(rep, a - l1, f"types[{i}] treated-value margin at l1")
+                _warn_edge(rep, a - l0, "types[{}] treated-value margin at l0", i)
+                _warn_edge(rep, a - l1, "types[{}] treated-value margin at l1", i)
         return rep
+
+    @cached_property
+    def _beliefs(self) -> _PerType:
+        """Each type's _Beliefs, by type index, once per config."""
+        return _PerType(self.types, _Beliefs)
 
     def decide(self, state: LatentState) -> DecisionTrace:
         if not 0 <= state.u0_type < len(self.types):
             raise LabError("state-not-in-support", f"type index {state.u0_type} out of range")
         ty = self.types[state.u0_type]
+        b = self._beliefs[state.u0_type]
         y00 = state.po.y[0][0]
         if y00 not in (0.0, 1.0):
             raise LabError("state-not-in-support", f"binary scenario got Y_0(0) = {y00!r}")
         a = ty.mu_treat1 - ty.ktilde1
         try:
-            l_obs = posterior_mean(ty.prior, [int(y00)])
+            l_obs = b.post(int(y00))
         except LabError:
             raise LabError(
                 "state-not-in-support",
@@ -512,28 +594,28 @@ class ControlArmLearning:
             )
         d1_untreated = int(a >= l_obs)
         # counterfactual history d0=1: no untreated draw was seen, beliefs stay at the prior
-        d1_treated = int(a >= prior_mean(ty.prior))
+        d1_treated = int(a >= b.mean)
         return DecisionTrace(
             d0=0,
             d1_given=(d1_untreated, d1_treated),
-            continuation=(max(a, l_obs), max(a, prior_mean(ty.prior))),
+            continuation=(max(a, l_obs), max(a, b.mean)),
             gains=None,
         )
 
+    def _grid_size(self) -> int:
+        return 8 * sum(len(ty.prior) for ty in self.types)
+
     def _grid(self):
+        # one row per (type, prior point), crossed with the 8 outcome tuples:
         # nobody is treated in period 0, so Y_0(1) never shows; it is stored as 0
-        for i, ty in enumerate(self.types):
-            theta, w_theta = np.repeat(np.array(ty.prior).reshape(-1, 2), 8, axis=0).T
-            po = np.tile(_PO8, (len(ty.prior), 1))
-            y = po.T
-            p = (
-                ty.prob
-                * w_theta
-                * _bern_col(y[0], theta)
-                * _bern_col(y[2], theta)
-                * _bern_col(y[3], ty.mu_treat1)
-            )
-            yield i, po, p
+        latent = np.array(
+            [(i, ty.prob, w, theta, ty.mu_treat1) for i, ty in enumerate(self.types) for theta, w in ty.prior],
+            dtype=np.float64,
+        ).reshape(-1, 5)
+        u, prob, w_theta, theta, treat1 = latent.T[:, :, None]
+        y = _PO8.T
+        p = prob * w_theta * _bern_col(y[0], theta) * _bern_col(y[2], theta) * _bern_col(y[3], treat1)
+        return np.repeat(u.ravel().astype(np.int64), 8), np.tile(_PO8, (len(latent), 1)), p.ravel()
 
     def to_json(self) -> dict:
         return {
@@ -562,7 +644,7 @@ def _pmf16_from(entries) -> Pmf16:
 
 def _pmf16_grid(pmf: Pmf16):
     rows = np.array([(*po, p) for po, p in pmf], dtype=np.float64).reshape(-1, 5)
-    yield 0, rows[:, :4], rows[:, 4]
+    return np.zeros(len(rows), dtype=np.int64), rows[:, :4], rows[:, 4]
 
 
 def _validate_pmf16(rep: ValidationReport, pmf: Pmf16) -> None:
@@ -601,6 +683,9 @@ class RoyRepeated:
             d0=int(y01 >= y00), d1_given=(d1, d1), continuation=(w, w), gains=y01 - y00
         )
 
+    def _grid_size(self) -> int:
+        return len(self.pmf)
+
     def _grid(self):
         return _pmf16_grid(self.pmf)
 
@@ -632,7 +717,7 @@ class RoyIrreversible:
             for po, p in self.pmf:
                 if p > 0.0:
                     y00, y01, y10, y11 = po
-                    _warn_edge(rep, (y01 - y00) + self.beta * min(y11 - y10, 0), f"period-0 gain at po={po}")
+                    _warn_edge(rep, (y01 - y00) + self.beta * min(y11 - y10, 0), "period-0 gain at po={}", po)
         return rep
 
     def decide(self, state: LatentState) -> DecisionTrace:
@@ -648,6 +733,9 @@ class RoyIrreversible:
             continuation=(w_untreated, w_treated),
             gains=gains,
         )
+
+    def _grid_size(self) -> int:
+        return len(self.pmf)
 
     def _grid(self):
         return _pmf16_grid(self.pmf)
@@ -725,7 +813,7 @@ class OptimalStopping:
         _check_pmf(rep, [t.prob for t in self.types], "types")
         taus = []
         for i, ty in enumerate(self.types):
-            _check_pmf(rep, [p for _, p in ty.pmf], f"types[{i}].pmf")
+            _check_pmf(rep, [p for _, p in ty.pmf], "types[{}].pmf", i)
             if not ty.pmf:
                 rep.add("pmf-support", f"types[{i}] has empty outcome support")
                 continue
@@ -743,8 +831,8 @@ class OptimalStopping:
             # the cached _sums costs more than the grouping itself
             sums = _TypeSums(ty)
             for y0 in sums.support:
-                _warn_edge(rep, sums.m(y0) - ty.k1, f"types[{i}] period-1 margin at y0={y0!r}")
-            _warn_edge(rep, sums.cont0(), f"types[{i}] period-0 continuation value")
+                _warn_edge(rep, sums.m(y0) - ty.k1, "types[{}] period-1 margin at y0={!r}", i, y0)
+            _warn_edge(rep, sums.cont0(), "types[{}] period-0 continuation value", i)
         if taus and max(taus) - min(taus) > EXACT_TOL:
             rep.add(
                 "tau-inconsistent",
@@ -776,15 +864,16 @@ class OptimalStopping:
             gains=cont0,
         )
 
+    def _grid_size(self) -> int:
+        return sum(len(ty.pmf) for ty in self.types)
+
     def _grid(self):
         # a stopped unit's outcome is 0: the treated potential outcomes are 0
         rows = np.array(
             [(y0, 0.0, y1, 0.0, ty.prob * p) for ty in self.types for (y0, y1), p in ty.pmf], dtype=np.float64
         ).reshape(-1, 5)
-        end = 0
-        for i, ty in enumerate(self.types):
-            start, end = end, end + len(ty.pmf)
-            yield i, rows[start:end, :4], rows[start:end, 4]
+        u = np.repeat(np.arange(len(self.types)), [len(ty.pmf) for ty in self.types])
+        return u, rows[:, :4], rows[:, 4]
 
     def to_json(self) -> dict:
         return {
@@ -838,43 +927,28 @@ def decide(config: ScenarioConfig, state: LatentState) -> DecisionTrace:
 def build_joint(config: ScenarioConfig) -> JointDistribution:
     """Enumerate the exact population joint distribution for a scenario.
 
-    The scenario's _grid() yields one block per type: (type index, (m, 4)
-    potential outcomes [y00, y01, y10, y11], (m,) probabilities), with the
-    rows in canonical order — lexicographic in (latent grid index, outcome
-    tuple) — and the blocks in type order; inverse-cdf draws depend on that
-    order.  The cap on grid points is checked as each block arrives, before
-    its rows are decided.  Atoms keep the order and zero-probability points
-    are dropped.  The decision rule runs once per distinct (type, values of
-    the columns in config.reads) among the rows left, on the first row that
-    holds them.  Probabilities are renormalized by their total so the result
-    carries unit mass to within 1e-12 even when config pmfs only sum to 1
-    within the looser validation tolerance.
+    The scenario's _grid() returns one block for the whole config: (m,) type
+    indices, (m, 4) potential outcomes [y00, y01, y10, y11] and (m,)
+    probabilities, with the rows in canonical order — lexicographic in
+    (type, latent grid index, outcome tuple); inverse-cdf draws depend on
+    that order.  The cap on grid points is checked against _grid_size()
+    before any row is built.  Atoms keep the order and zero-probability
+    points are dropped.  The decision rule runs once per distinct (type,
+    values of the columns in config.reads) among the rows left, on the first
+    row that holds them, in row order.  Probabilities are renormalized by
+    their total so the result carries unit mass to within 1e-12 even when
+    config pmfs only sum to 1 within the looser validation tolerance.
     """
     grid = getattr(config, "_grid", None)
     if grid is None:
         raise LabError("wrong-scenario", f"not a scenario config: {type(config).__name__}")
-    key = itemgetter(*config.reads) if config.reads else lambda row: ()
-    u0_type, cell, po, prob = array("q"), array("b"), [], []
-    count = 0
-    for u, y, p in grid():
-        count += len(p)
-        if count > MAX_ATOMS:
-            raise LabError("support-too-large", f"support exceeds the cap of {MAX_ATOMS} atoms")
-        if np.count_nonzero(p) < len(p):
-            keep = p != 0.0
-            y, p = y[keep], p[keep]
-        rows = y.tolist()
-        keys = list(map(key, rows))
-        cells = {}  # values of the read columns -> 2 * d0 + d1
-        for k, row in zip(keys, rows):
-            if k not in cells:
-                tr = config.decide(LatentState(u, PotentialOutcomes.of(*row))).realized()
-                cells[k] = 2 * tr.d0 + tr.d1
-        u0_type.extend([u] * len(keys))
-        cell.extend(map(cells.__getitem__, keys))
-        po.append(y)
-        prob.append(p)
-    weights = np.concatenate(prob or [np.empty(0)])
+    if config._grid_size() > MAX_ATOMS:
+        raise LabError("support-too-large", f"support exceeds the cap of {MAX_ATOMS} atoms")
+    u0_type, po, weights = grid()
+    if np.count_nonzero(weights) < len(weights):
+        keep = weights != 0.0
+        u0_type, po, weights = u0_type[keep], po[keep], weights[keep]
+    cell = _decided_cells(config, u0_type, po)
     total = float(np.sum(weights))
     if (weights < 0).any() or abs(total - 1.0) > PMF_TOL:
         raise LabError(
@@ -882,11 +956,37 @@ def build_joint(config: ScenarioConfig) -> JointDistribution:
         )
     if total != 1.0:
         weights = weights / total
-    c = np.array(cell, dtype=np.int8)
-    po = np.concatenate(po or [np.empty((0, 4))])
-    joint = JointDistribution(u0_type, po, c >> 1, c & 1, weights, config.scenario_id)
+    joint = JointDistribution(u0_type, po, cell >> 1, cell & 1, weights, config.scenario_id)
     joint.check()
     return joint
+
+
+def _decided_cells(config: ScenarioConfig, u0_type: np.ndarray, po: np.ndarray) -> np.ndarray:
+    """2 * d0 + d1 of each row, from config.decide run once per group of
+    rows that share the type and the read columns.  A stable sort on those
+    keys puts each group's first row at its head; the rule runs on those
+    heads in row order."""
+    keys = [po[:, c] for c in config.reads]
+    order = np.lexsort((*keys[::-1], u0_type))
+    head = np.empty(len(order), dtype=bool)
+    head[:1] = True
+    sorted_type = u0_type[order]
+    np.not_equal(sorted_type[1:], sorted_type[:-1], out=head[1:])
+    for key in keys:
+        sorted_key = key[order]
+        head[1:] |= sorted_key[1:] != sorted_key[:-1]
+    first = order[head]  # each group's first row, groups in key order
+    by_row = np.argsort(first)
+    rows = first[by_row]
+    codes = []
+    for u, y in zip(u0_type[rows].tolist(), po[rows].tolist()):
+        tr = config.decide(LatentState(u, PotentialOutcomes.of(*y))).realized()
+        codes.append(2 * tr.d0 + tr.d1)
+    group_code = np.empty(len(first), dtype=np.int8)
+    group_code[by_row] = codes
+    cell = np.empty(len(order), dtype=np.int8)
+    cell[order] = group_code[np.cumsum(head) - 1]
+    return cell
 
 
 class AtomSampler:
@@ -1011,50 +1111,65 @@ def _expect_keys(obj: dict, required: set[str], optional: set[str], path: str) -
             raise LabError("schema-error", f"missing key {k!r}", f"{path}/{k}")
 
 
-def _num(obj, path: str) -> float:
+# The decoders below take the JSON pointer of their value as a parent path
+# plus the keys under it, and join them only to raise: a config decodes
+# without formatting a pointer per number.
+
+
+def _pointer(path: str, keys) -> str:
+    return path + "".join(f"/{k}" for k in keys)
+
+
+def _num(obj, path: str, *keys) -> float:
+    """obj as a finite float, or a schema-error at path/keys."""
+    if type(obj) is float and math.isfinite(obj):
+        return obj
     if isinstance(obj, bool) or not isinstance(obj, (int, float)):
-        raise LabError("schema-error", f"expected a number, got {type(obj).__name__}", path)
+        raise LabError("schema-error", f"expected a number, got {type(obj).__name__}", _pointer(path, keys))
     try:
         x = float(obj)
     except OverflowError:
-        raise LabError("schema-error", "integer too large for a float", path) from None
+        raise LabError("schema-error", "integer too large for a float", _pointer(path, keys)) from None
     if not math.isfinite(x):
-        raise LabError("schema-error", f"non-finite number {obj!r}", path)
+        raise LabError("schema-error", f"non-finite number {obj!r}", _pointer(path, keys))
     return x
 
 
-def _numlist(obj, k: int, path: str) -> list[float]:
+def _numlist(obj, k: int, path: str, *keys) -> tuple[float, ...]:
+    """obj as a tuple of k finite floats, or a schema-error at path/keys or at
+    the entry that is not one."""
     if not isinstance(obj, list) or len(obj) != k:
-        raise LabError("schema-error", f"expected a list of {k} numbers", path)
-    return [_num(v, f"{path}/{i}") for i, v in enumerate(obj)]
+        raise LabError("schema-error", f"expected a list of {k} numbers", _pointer(path, keys))
+    out = tuple(obj)
+    for v in out:
+        if type(v) is not float or not math.isfinite(v):
+            return tuple([_num(x, path, *keys, j) for j, x in enumerate(obj)])
+    return out
 
 
-def _binary(obj, path: str) -> int:
+def _matrix(obj: dict, key: str, path: str) -> tuple[tuple[float, float], tuple[float, float]]:
+    """obj[key] as a 2x2 matrix of finite floats; path is obj's pointer."""
+    raw = obj[key]
+    if not isinstance(raw, list) or len(raw) != 2:
+        raise LabError("schema-error", f"{key} must be a 2x2 matrix", f"{path}/{key}")
+    return _numlist(raw[0], 2, path, key, 0), _numlist(raw[1], 2, path, key, 1)
+
+
+def _binary(obj, path: str, *keys) -> int:
     if obj not in (0, 1) or isinstance(obj, bool):
-        raise LabError("schema-error", f"expected 0 or 1, got {obj!r}", path)
+        raise LabError("schema-error", f"expected 0 or 1, got {obj!r}", _pointer(path, keys))
     return int(obj)
 
 
 def _prior(obj, path: str) -> Prior:
     if not isinstance(obj, list) or not obj:
         raise LabError("schema-error", "prior must be a nonempty list of [rate, weight] pairs", path)
-    return tuple(
-        (pair[0], pair[1])
-        for pair in (
-            tuple(_numlist(e, 2, f"{path}/{i}")) for i, e in enumerate(obj)
-        )
-    )
+    return tuple(_numlist(e, 2, path, i) for i, e in enumerate(obj))
 
 
 def _costs(obj: dict, path: str) -> CostTable:
-    k0 = tuple(_numlist(obj["k0"], 2, f"{path}/k0")) if "k0" in obj else (0.0, 0.0)
-    if "k1" in obj:
-        raw = obj["k1"]
-        if not isinstance(raw, list) or len(raw) != 2:
-            raise LabError("schema-error", "k1 must be a 2x2 matrix", f"{path}/k1")
-        k1 = tuple(tuple(_numlist(r, 2, f"{path}/k1/{i}")) for i, r in enumerate(raw))
-    else:
-        k1 = ((0.0, 0.0), (0.0, 0.0))
+    k0 = _numlist(obj["k0"], 2, path, "k0") if "k0" in obj else (0.0, 0.0)
+    k1 = _matrix(obj, "k1", path) if "k1" in obj else ((0.0, 0.0), (0.0, 0.0))
     return CostTable(k0=k0, k1=k1)
 
 
@@ -1065,8 +1180,8 @@ def _pmf16_json(obj, path: str) -> Pmf16:
     for i, row in enumerate(obj):
         if not isinstance(row, list) or len(row) != 5:
             raise LabError("schema-error", "pmf row must be [y00,y01,y10,y11,prob]", f"{path}/{i}")
-        po = tuple(_binary(v, f"{path}/{i}/{j}") for j, v in enumerate(row[:4]))
-        entries.append((po, _num(row[4], f"{path}/{i}/4")))
+        po = tuple(_binary(v, path, i, j) for j, v in enumerate(row[:4]))
+        entries.append((po, _num(row[4], path, i, 4)))
     return _pmf16_from(entries)
 
 
@@ -1083,16 +1198,11 @@ def scenario_from_json(obj, path: str = "") -> ScenarioConfig:
         )
     if tag == "past_outcome_selection":
         _expect_keys(obj, {"scenario", "p_y00", "trans_ctrl", "mean_y_treated"}, set(), path)
-        raw = obj["trans_ctrl"]
-        if not isinstance(raw, list) or len(raw) != 2:
-            raise LabError("schema-error", "trans_ctrl must be a 2x2 matrix", f"{path}/trans_ctrl")
-        trans = tuple(
-            tuple(_numlist(r, 2, f"{path}/trans_ctrl/{i}")) for i, r in enumerate(raw)
-        )
+        trans = _matrix(obj, "trans_ctrl", path)
         return PastOutcomeSelection(
-            p_y00=_num(obj["p_y00"], f"{path}/p_y00"),
+            p_y00=_num(obj["p_y00"], path, "p_y00"),
             trans_ctrl=trans,
-            mean_y_treated=tuple(_numlist(obj["mean_y_treated"], 2, f"{path}/mean_y_treated")),
+            mean_y_treated=_numlist(obj["mean_y_treated"], 2, path, "mean_y_treated"),
         )
     if tag == "no_learning":
         _expect_keys(obj, {"scenario", "types"}, set(), path)
@@ -1100,16 +1210,13 @@ def scenario_from_json(obj, path: str = "") -> ScenarioConfig:
         for i, t in enumerate(_typelist(obj["types"], f"{path}/types")):
             tp = f"{path}/types/{i}"
             _expect_keys(t, {"prob", "mu", "beta"}, {"k0", "k1"}, tp)
-            raw = t["mu"]
-            if not isinstance(raw, list) or len(raw) != 2:
-                raise LabError("schema-error", "mu must be a 2x2 matrix", f"{tp}/mu")
-            mu = tuple(tuple(_numlist(r, 2, f"{tp}/mu/{i2}")) for i2, r in enumerate(raw))
+            mu = _matrix(t, "mu", tp)
             types.append(
                 NoLearningType(
-                    prob=_num(t["prob"], f"{tp}/prob"),
+                    prob=_num(t["prob"], tp, "prob"),
                     mu=mu,
                     costs=_costs(t, tp),
-                    beta=_num(t["beta"], f"{tp}/beta"),
+                    beta=_num(t["beta"], tp, "beta"),
                 )
             )
         return NoLearning(types=tuple(types))
@@ -1121,11 +1228,11 @@ def scenario_from_json(obj, path: str = "") -> ScenarioConfig:
             _expect_keys(t, {"prob", "prior", "mu_ctrl", "beta"}, {"k0", "k1"}, tp)
             types.append(
                 TreatedLearningType(
-                    prob=_num(t["prob"], f"{tp}/prob"),
+                    prob=_num(t["prob"], tp, "prob"),
                     prior=_prior(t["prior"], f"{tp}/prior"),
-                    mu_ctrl=tuple(_numlist(t["mu_ctrl"], 2, f"{tp}/mu_ctrl")),
+                    mu_ctrl=_numlist(t["mu_ctrl"], 2, tp, "mu_ctrl"),
                     costs=_costs(t, tp),
-                    beta=_num(t["beta"], f"{tp}/beta"),
+                    beta=_num(t["beta"], tp, "beta"),
                 )
             )
         return TreatedArmLearning(types=tuple(types))
@@ -1137,10 +1244,10 @@ def scenario_from_json(obj, path: str = "") -> ScenarioConfig:
             _expect_keys(t, {"prob", "prior", "mu_treat1", "ktilde1"}, set(), tp)
             types.append(
                 ControlLearningType(
-                    prob=_num(t["prob"], f"{tp}/prob"),
+                    prob=_num(t["prob"], tp, "prob"),
                     prior=_prior(t["prior"], f"{tp}/prior"),
-                    mu_treat1=_num(t["mu_treat1"], f"{tp}/mu_treat1"),
-                    ktilde1=_num(t["ktilde1"], f"{tp}/ktilde1"),
+                    mu_treat1=_num(t["mu_treat1"], tp, "mu_treat1"),
+                    ktilde1=_num(t["ktilde1"], tp, "ktilde1"),
                 )
             )
         return ControlArmLearning(types=tuple(types))
@@ -1151,7 +1258,7 @@ def scenario_from_json(obj, path: str = "") -> ScenarioConfig:
         _expect_keys(obj, {"scenario", "pmf", "beta"}, set(), path)
         return RoyIrreversible(
             pmf=_pmf16_json(obj["pmf"], f"{path}/pmf"),
-            beta=_num(obj["beta"], f"{path}/beta"),
+            beta=_num(obj["beta"], path, "beta"),
         )
     # optimal_stopping
     _expect_keys(obj, {"scenario", "types"}, set(), path)
@@ -1164,14 +1271,14 @@ def scenario_from_json(obj, path: str = "") -> ScenarioConfig:
             raise LabError("schema-error", "pmf must be a nonempty list of [y0, y1, prob]", f"{tp}/pmf")
         pmf = []
         for j, row in enumerate(raw):
-            vals = _numlist(row, 3, f"{tp}/pmf/{j}")
+            vals = _numlist(row, 3, tp, "pmf", j)
             pmf.append(((vals[0], vals[1]), vals[2]))
         types.append(
             StoppingType(
-                prob=_num(t["prob"], f"{tp}/prob"),
-                k0=_num(t["k0"], f"{tp}/k0"),
-                k1=_num(t["k1"], f"{tp}/k1"),
-                beta=_num(t["beta"], f"{tp}/beta"),
+                prob=_num(t["prob"], tp, "prob"),
+                k0=_num(t["k0"], tp, "k0"),
+                k1=_num(t["k1"], tp, "k1"),
+                beta=_num(t["beta"], tp, "beta"),
                 pmf=tuple(pmf),
             )
         )

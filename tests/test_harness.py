@@ -1,6 +1,7 @@
 """Experiment orchestration: config parsing, replication, file outputs."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -102,6 +103,8 @@ def _experiment_doc(**overrides):
         ({"estimators": ["did_sharp", "nope"]}, "/estimators/1"),
         ({"outputs": 3}, "/outputs"),
         ({"emit_latent": "yes"}, "/emit_latent"),
+        ({"estimators": ["att_stationary", "att_stationary"]}, "/estimators/1"),
+        ({"estimators": ["did_sharp", ["did_sharp"]]}, "/estimators/1"),
     ],
 )
 def test_parse_schema_errors_carry_paths(overrides, path):
@@ -385,6 +388,16 @@ def test_read_panel_rejects(tmp_path, payload, code):
     with pytest.raises(LabError) as err:
         read_panel_csv(path)
     assert err.value.code == code
+
+
+def test_read_panel_rejects_huge_treatment_values_without_a_cast_warning(tmp_path):
+    path = tmp_path / "huge.csv"
+    path.write_text("unit,d0,d1,y0,y1\n0,1e300,1,0.5,1.0\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(LabError) as err:
+            read_panel_csv(path)
+    assert err.value.code == "schema-error"
 
 
 def test_read_panel_missing_file(tmp_path):

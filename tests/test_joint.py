@@ -1,6 +1,9 @@
 """Joint-distribution builders and panel sampling."""
 
+import dataclasses
 import json
+import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -9,10 +12,13 @@ from hypothesis import strategies as st
 
 from didlab import corpus, scenarios
 from didlab._rng import uniforms
-from didlab.core import EXACT_TOL, JointDistribution, LatentState, PotentialOutcomes
+from didlab.core import EXACT_TOL, JointDistribution, LatentState, PotentialOutcomes, validate_scenario
 from didlab.errors import LabError
+from didlab.harness import oracle_block
 from didlab.scenarios import (
     AtomSampler,
+    ControlArmLearning,
+    ControlLearningType,
     NoLearning,
     NoLearningType,
     OptimalStopping,
@@ -101,8 +107,9 @@ def _wide_treated_config(seed):
 
 
 def test_build_joint_is_byte_equal_to_the_point_enumeration(shipped, seeds):
-    """The per-type blocks and the memo on the read columns give the columns
-    of a point-by-point enumeration that runs the rule on every point."""
+    """The stacked grid and the grouping on the read columns give the
+    columns of a point-by-point enumeration that runs the rule on every
+    point."""
     cases = list(shipped.items())
     cases += [(f"{key}:{seed}", make(seed)) for key, make in _CORPUS_FAMILIES.items() for seed in seeds[key][:40]]
     cases += [("wide:1", _wide_config(1)), ("wide_treated:1", _wide_treated_config(1))]
@@ -427,3 +434,149 @@ def test_wrong_type_in_nested_field():
     with pytest.raises(LabError) as err:
         scenario_from_json(obj)
     assert err.value.code == "schema-error"
+
+
+# Numbers the decoder rejects: JSON text and the message it gets.
+_BAD_NUMBERS = {
+    "bool": ("true", "expected a number, got bool"),
+    "string": ('"x"', "expected a number, got str"),
+    "nan": ("NaN", "non-finite number nan"),
+    "infinity": ("Infinity", "non-finite number inf"),
+    "1e999": ("1e999", "non-finite number inf"),
+    "400-digit integer": ("1" + "0" * 399, "integer too large for a float"),
+}
+
+# A config with one number replaced by "@", and the JSON pointer of "@".
+_NUMBER_SITES = {
+    "mu entry": (
+        {"scenario": "no_learning", "types": [{"prob": 1, "mu": [[0.5, 0.5], ["@", 0.5]], "beta": 0.9}]},
+        "/types/0/mu/1/0",
+    ),
+    "prior pair": (
+        {
+            "scenario": "treated_arm_learning",
+            "types": [{"prob": 1, "prior": [[0.2, 0.5], [0.8, "@"]], "mu_ctrl": [0.3, 0.5], "beta": 0.9}],
+        },
+        "/types/0/prior/1/1",
+    ),
+    "k1 row": (
+        {
+            "scenario": "no_learning",
+            "types": [
+                {"prob": 0.5, "mu": [[0.5, 0.5], [0.5, 0.5]], "beta": 0.9},
+                {"prob": 0.5, "mu": [[0.5, 0.5], [0.5, 0.5]], "k1": [[0, 0], ["@", 0]], "beta": 0.9},
+            ],
+        },
+        "/types/1/k1/1/0",
+    ),
+    "stopping pmf row": (
+        {
+            "scenario": "optimal_stopping",
+            "types": [{"prob": 1, "k0": 0, "k1": 0, "beta": 0.9, "pmf": [[1, 1.5, 0.5], [2, "@", 0.5]]}],
+        },
+        "/types/0/pmf/1/1",
+    ),
+}
+
+
+@pytest.mark.parametrize("site", sorted(_NUMBER_SITES))
+@pytest.mark.parametrize("number", sorted(_BAD_NUMBERS))
+def test_decoder_errors_keep_their_code_and_pointer(site, number):
+    doc, pointer = _NUMBER_SITES[site]
+    literal, message = _BAD_NUMBERS[number]
+    with pytest.raises(LabError) as err:
+        scenario_from_json(json.loads(json.dumps(doc).replace('"@"', literal)))
+    assert (err.value.code, err.value.path) == ("schema-error", pointer)
+    assert message in str(err.value)
+
+
+def test_decoder_returns_json_floats_unchanged():
+    obj = {"scenario": "no_learning", "types": [{"prob": 1.0, "mu": [[0.1, 0.2], [0.3, 0.4]], "beta": 0.9}]}
+    ty = scenario_from_json(obj).types[0]
+    assert ty.mu[1][0] is obj["types"][0]["mu"][1][0] and ty.prob is obj["types"][0]["prob"]
+    ints = {"scenario": "no_learning", "types": [{"prob": 1, "mu": [[0, 1], [0, 1]], "beta": 0.9}]}
+    mu = scenario_from_json(ints).types[0].mu
+    assert mu == ((0.0, 1.0), (0.0, 1.0)) and all(type(v) is float for row in mu for v in row)
+
+
+def _truth_path(cfg):
+    """validate, then oracle_block, which builds the joint: the work of
+    `didlab truth` on a decoded config."""
+    validate_scenario(cfg)
+    oracle_block(cfg)
+
+
+def test_posterior_mean_runs_at_most_twice_per_type(monkeypatch):
+    """validate, build_joint and oracle_block share each treated learner's
+    two one-observation posteriors."""
+    cfg = _wide_treated_config(4)
+    calls = Counter()
+    rule = scenarios.posterior_mean
+    monkeypatch.setattr(scenarios, "posterior_mean", lambda prior, obs: calls.update([prior]) or rule(prior, obs))
+    _truth_path(cfg)
+    assert set(calls) == {ty.prior for ty in cfg.types} and max(calls.values()) <= 2
+
+
+def test_no_learning_trace_runs_once_per_type(monkeypatch):
+    cfg = _wide_config(4)
+    calls = Counter()
+    trace = NoLearning._type_trace
+    monkeypatch.setattr(NoLearning, "_type_trace", lambda self, ty: calls.update([id(ty)]) or trace(self, ty))
+    _truth_path(cfg)
+    assert sorted(calls) == sorted(id(ty) for ty in cfg.types) and set(calls.values()) == {1}
+
+
+@pytest.mark.parametrize("make", [TreatedLearningType, ControlLearningType])
+def test_invalid_types_get_a_report_and_no_decision_quantities(monkeypatch, make):
+    """Once a type fails a check, validate computes nothing for the types
+    after it, as it never did, and still returns its report."""
+    extra = {"mu_ctrl": (0.3, 0.5)} if make is TreatedLearningType else {"mu_treat1": 0.6, "ktilde1": 0.0}
+    priors = (((0.2, 0.5), (0.8, 0.5)), ((0.2, -0.5), (0.8, 1.5)), ((1.5, 1.0),), ((0.3, 0.5), (0.7, 0.5)))
+    types = tuple(make(prob=0.25, prior=prior, **extra) for prior in priors)
+    cfg = (TreatedArmLearning if make is TreatedLearningType else ControlArmLearning)(types=types)
+    seen = []
+    for name in ("prior_mean", "posterior_mean"):
+        fn = getattr(scenarios, name)
+        monkeypatch.setattr(scenarios, name, lambda prior, *a, fn=fn: seen.append(prior) or fn(prior, *a))
+    report = validate_scenario(cfg)
+    assert {v.rule for v in report.violations} == {"pmf-negative", "prob-range"}
+    assert set(seen) == {priors[0]}
+
+
+def test_replaced_configs_get_fresh_decision_quantities():
+    prior = ((0.2, 0.5), (0.8, 0.5))
+    cfg = TreatedArmLearning(types=(TreatedLearningType(prob=1.0, prior=prior, mu_ctrl=(0.3, 0.5)),))
+    fresh = TreatedArmLearning(types=cfg.types)
+    validate_scenario(cfg)
+    build_joint(cfg)
+    assert cfg == fresh and hash(cfg) == hash(fresh) and repr(cfg) == repr(fresh)
+    same = dataclasses.replace(cfg)
+    assert same == cfg and same._beliefs is not cfg._beliefs
+    moved = dataclasses.replace(cfg, types=(dataclasses.replace(cfg.types[0], prior=((0.1, 0.5), (0.5, 0.5))),))
+    assert moved != cfg and moved._beliefs[0].mean == 0.3 and cfg._beliefs[0].mean == 0.5
+    state = LatentState(0, PotentialOutcomes.of(0, 1, 0, 1))
+    assert decide(moved, state) == decide(TreatedArmLearning(types=moved.types), state)
+
+    ty = NoLearningType(prob=1.0, mu=((0.2, 0.9), (0.2, 0.3)))
+    nl = NoLearning(types=(ty,))
+    before = decide(nl, state)
+    flipped = dataclasses.replace(nl, types=(dataclasses.replace(ty, mu=((0.2, 0.1), (0.2, 0.3))),))
+    assert decide(flipped, state) != before and decide(nl, state) is before
+
+
+def test_support_cap_is_checked_before_the_grid_is_built(monkeypatch):
+    """A config over the cap costs no grid rows: the tracemalloc peak of the
+    failed build stays below the size of its stacked grid."""
+    types = 2_000
+    cfg = NoLearning(types=(NoLearningType(prob=1 / types, mu=((0.5, 0.5), (0.5, 0.5))),) * types)
+    monkeypatch.setattr(scenarios, "MAX_ATOMS", 31)
+    grid_bytes = 16 * types * (4 + 1 + 1) * 8  # po, prob and u0_type, 8 bytes each
+    tracemalloc.start()
+    try:
+        with pytest.raises(LabError) as err:
+            build_joint(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert err.value.code == "support-too-large"
+    assert peak < grid_bytes / 10
