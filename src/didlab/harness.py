@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import math
+import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional, Union
@@ -410,14 +411,19 @@ def write_outputs(report: SummaryReport, panels, out_dir) -> list:
 
 
 def read_panel_csv(path) -> Panel:
-    """Read a panel written in the panel.csv layout (5 or 9 columns)."""
+    """Read a panel written in the panel.csv layout (5 or 9 columns).
+
+    A plain body, as didlab writes it, is parsed in one np.loadtxt pass; any
+    other body, and any plain one that pass does not read cleanly, goes to
+    the line parser, which names the line of each error."""
     try:
         with open(path, "r", encoding="utf-8", newline="") as fh:
-            lines = fh.read().splitlines()
+            text = fh.read()
     except OSError as e:
         raise LabError("io-error", f"cannot read panel: {e}", str(path)) from None
     except UnicodeDecodeError as e:
         raise LabError("parse-error", f"panel is not valid UTF-8: {e}", str(path)) from None
+    lines = text.splitlines()
     if not lines:
         raise LabError("parse-error", "panel file is empty", str(path))
     header = tuple(lines[0].split(","))
@@ -432,6 +438,52 @@ def read_panel_csv(path) -> Panel:
             str(path),
         )
     width = len(header)
+    plain = _plain_body(text, lines[0])
+    del text  # the lines hold the body from here on
+    mat = _loadtxt_rows(lines, width) if plain else None
+    if mat is None:
+        mat = _line_rows(lines, width, path)
+    # checked on the float columns: casting a value outside int8 first would warn
+    if not (np.all((mat[:, 1] == 0) | (mat[:, 1] == 1)) and np.all((mat[:, 2] == 0) | (mat[:, 2] == 1))):
+        raise LabError("schema-error", "d0/d1 columns must be 0 or 1", str(path))
+    po = mat[:, 5:9] if latent else None
+    return Panel(d0=mat[:, 1].astype(np.int8), d1=mat[:, 2].astype(np.int8), y0=mat[:, 3], y1=mat[:, 4], po=po)
+
+
+# The bytes of a plain body.  Over these, np.loadtxt accepts a field exactly
+# when float() does, with the same value; it also accepts some fields float()
+# rejects, such as "\x1f1", which hold other bytes.
+_PLAIN = b"0123456789.eE+-,\n"
+
+
+def _plain_body(text: str, header: str) -> bool:
+    """Whether the header line of text ends in a bare LF and everything after
+    it is ASCII made of _PLAIN bytes alone."""
+    start = len(header) + 1
+    if text[start - 1 : start] != "\n":
+        return False
+    body = text[start:]
+    return body.isascii() and not body.encode("ascii").translate(None, _PLAIN)
+
+
+def _loadtxt_rows(lines: list, width: int) -> Optional[np.ndarray]:
+    """The rows of a plain body, parsed in one pass, or None where the line
+    parser must decide: the pass raises or warns, or its result has another
+    width, no rows or a non-finite value."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            mat = np.loadtxt(lines[1:], delimiter=",", dtype=np.float64, comments=None, ndmin=2)
+        except (ValueError, Warning):
+            return None
+    if mat.shape[0] == 0 or mat.shape[1] != width or not np.isfinite(mat).all():
+        return None
+    return mat
+
+
+def _line_rows(lines: list, width: int, path) -> np.ndarray:
+    """The body's rows parsed line by line with float(); raises the
+    parse-error of the first bad line."""
     rows = []
     for i, line in enumerate(lines[1:], start=2):
         if not line:
@@ -450,8 +502,4 @@ def read_panel_csv(path) -> Panel:
     if bad.size:
         line = [i for i, text in enumerate(lines[1:], start=2) if text][bad[0]]
         raise LabError("parse-error", f"line {line}: non-finite value", str(path))
-    # checked on the float columns: casting a value outside int8 first would warn
-    if not (np.all((mat[:, 1] == 0) | (mat[:, 1] == 1)) and np.all((mat[:, 2] == 0) | (mat[:, 2] == 1))):
-        raise LabError("schema-error", "d0/d1 columns must be 0 or 1", str(path))
-    po = mat[:, 5:9] if latent else None
-    return Panel(d0=mat[:, 1].astype(np.int8), d1=mat[:, 2].astype(np.int8), y0=mat[:, 3], y1=mat[:, 4], po=po)
+    return mat

@@ -157,6 +157,15 @@ class _Beliefs:
             post = self._post[y] = posterior_mean(self.ty.prior, [y])
         return post
 
+    def possible(self, y: int) -> bool:
+        """Whether observing y has positive prior probability, that is
+        whether post(y)'s normalizer is positive."""
+        try:
+            self.post(y)
+        except LabError:
+            return False
+        return True
+
     def post_or_prior(self, y: int) -> float:
         """posterior_mean_or_prior(ty.prior, y)."""
         try:
@@ -183,7 +192,7 @@ class _TreatedBeliefs(_Beliefs):
             w1_treated = 0.0
             for y in (0, 1):
                 w = _bern(y, self.mean)
-                if w > 0.0:
+                if w > 0.0 and self.possible(y):
                     w1_treated += w * max(self.post(y) - k1[1][1], ty.mu_ctrl[1] - k1[1][0])
             gains = (self.mean - k0[1]) - (ty.mu_ctrl[0] - k0[0]) + ty.beta * (w1_treated - w1_untreated)
             self._gains = gains, (w1_untreated, w1_treated)
@@ -443,7 +452,7 @@ class TreatedArmLearning:
         k1 = ty.costs.k1
         _warn_edge(rep, b.mean - ty.mu_ctrl[1] - (k1[0][1] - k1[0][0]), "types[{}] period-1 gain given d0=0", i)
         for y in (0, 1):
-            if _bern(y, b.mean) == 0.0:
+            if _bern(y, b.mean) == 0.0 or not b.possible(y):
                 continue
             _warn_edge(
                 rep,

@@ -13,7 +13,9 @@ from itertools import product
 import numpy as np
 
 from didlab._rng import uniform_at
-from didlab.core import LatentState, PotentialOutcomes
+from didlab.core import LatentState, Panel, PotentialOutcomes
+from didlab.errors import LabError
+from didlab.harness import PANEL_HEADER, PANEL_HEADER_LATENT
 
 
 def brute_cells(joint):
@@ -319,3 +321,53 @@ def brute_counts(joint, n, seed):
     for i in range(n):
         counts[min(bisect_right(cdf, uniform_at(seed, i)), len(cdf) - 1)] += 1
     return counts
+
+
+def brute_read_panel(path):
+    """read_panel_csv as it was before its one-pass parse: every row through
+    float(), line by line.  Kept verbatim as the reference the reader must
+    match, value for value and error for error."""
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            lines = fh.read().splitlines()
+    except OSError as e:
+        raise LabError("io-error", f"cannot read panel: {e}", str(path)) from None
+    except UnicodeDecodeError as e:
+        raise LabError("parse-error", f"panel is not valid UTF-8: {e}", str(path)) from None
+    if not lines:
+        raise LabError("parse-error", "panel file is empty", str(path))
+    header = tuple(lines[0].split(","))
+    if header == PANEL_HEADER:
+        latent = False
+    elif header == PANEL_HEADER_LATENT:
+        latent = True
+    else:
+        raise LabError(
+            "schema-error",
+            f"unexpected panel header {lines[0]!r}; want {','.join(PANEL_HEADER)} or the latent variant",
+            str(path),
+        )
+    width = len(header)
+    rows = []
+    for i, line in enumerate(lines[1:], start=2):
+        if not line:
+            continue
+        parts = line.split(",")
+        if len(parts) != width:
+            raise LabError("parse-error", f"line {i}: expected {width} fields, got {len(parts)}", str(path))
+        try:
+            rows.append([float(p) for p in parts])
+        except ValueError as e:
+            raise LabError("parse-error", f"line {i}: {e}", str(path)) from None
+    if not rows:
+        raise LabError("parse-error", "panel has a header but no rows", str(path))
+    mat = np.asarray(rows, dtype=np.float64)
+    bad = np.flatnonzero(~np.isfinite(mat).all(axis=1))
+    if bad.size:
+        line = [i for i, text in enumerate(lines[1:], start=2) if text][bad[0]]
+        raise LabError("parse-error", f"line {line}: non-finite value", str(path))
+    # checked on the float columns: casting a value outside int8 first would warn
+    if not (np.all((mat[:, 1] == 0) | (mat[:, 1] == 1)) and np.all((mat[:, 2] == 0) | (mat[:, 2] == 1))):
+        raise LabError("schema-error", "d0/d1 columns must be 0 or 1", str(path))
+    po = mat[:, 5:9] if latent else None
+    return Panel(d0=mat[:, 1].astype(np.int8), d1=mat[:, 2].astype(np.int8), y0=mat[:, 3], y1=mat[:, 4], po=po)

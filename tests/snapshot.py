@@ -12,6 +12,8 @@ byte-identical leaves them equal.  The artifacts, for each config:
   simulate/     the panel CSV of didlab simulate
   experiment/   each file of didlab experiment at the config's settings
   experiment+/  the same at --n 2000 --reps 20 --seed 5 --emit-latent
+  readback/     read_panel_csv's columns (dtypes, shapes and bytes) on
+                experiment+'s panel.csv
 
 The configs are the ten shipped ones, the first CORPUS_SEEDS seeds of every
 corpus family, and the two wide_support configs of perfbench/inputs.py
@@ -39,7 +41,7 @@ import inputs  # noqa: E402  (perfbench/inputs.py, stdlib only)
 
 from didlab import cli, corpus  # noqa: E402
 from didlab.errors import LabError  # noqa: E402
-from didlab.harness import parse_config  # noqa: E402
+from didlab.harness import parse_config, read_panel_csv  # noqa: E402
 from didlab.scenarios import build_joint  # noqa: E402
 
 CORPUS_SEEDS = 3
@@ -132,6 +134,12 @@ def _joint_bytes(text: str) -> bytes:
     return b"".join(name.encode() + arr.dtype.str.encode() + arr.tobytes() for name, arr in columns.items())
 
 
+def _readback_bytes(path: Path) -> bytes:
+    panel = read_panel_csv(path)
+    columns = (panel.d0, panel.d1, panel.y0, panel.y1) + ((panel.po,) if panel.has_latent else ())
+    return b"".join(arr.dtype.str.encode() + str(arr.shape).encode() + arr.tobytes() for arr in columns)
+
+
 def _configs() -> dict[str, str]:
     texts = {f"shipped:{name}": corpus.shipped_text(name) for name in corpus.shipped_names()}
     seeds = corpus.seed_corpus()
@@ -162,6 +170,8 @@ def snapshot() -> list[str]:
                 code, _, _ = _run("experiment", str(path), "--out", str(out_dir), *extra)
                 for f in sorted(out_dir.iterdir()):
                     lines.append(f"{tag}/{label}/{f.name} {code} {_sha(f.read_bytes())}")
+            panel = tmp / "experiment+" / label.replace(":", "_") / "panel.csv"
+            lines.append(f"readback/{label} {_sha(_readback_bytes(panel))}")
         for label, obj in INVALID.items():
             path = tmp / "invalid.json"
             path.write_text(json.dumps(obj), encoding="utf-8")

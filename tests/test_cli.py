@@ -11,6 +11,7 @@ from didlab import cli, scenarios
 from didlab._rng import derive_seed
 from didlab.cli import main
 from didlab.corpus import shipped_config, shipped_names, shipped_text
+from didlab.errors import ERROR_CODES
 from didlab.estimators import did_switchers, mts_bounds
 from didlab.harness import panel_csv_lines, read_panel_csv
 from didlab.scenarios import build_joint, draw_panel
@@ -160,6 +161,27 @@ def test_truth_on_invalid_scenario_exits_1(capsys, tmp_path):
     assert code == 1
     assert out == ""
     assert "invalid scenario: [pmf-sum]" in err
+
+
+@pytest.mark.parametrize("weight", ["0.4000000001", "0.3999999999"])
+def test_impossible_history_is_skipped_not_raised(capsys, tmp_path, weight):
+    # every prior rate is 1, so y01 = 0 has zero probability, though the
+    # weights sum to 1 +- 1e-10 and the prior mean misses 1 by as much
+    path = tmp_path / "edge.json"
+    path.write_text(
+        '{"scenario": "treated_arm_learning", "types": [{"prob": 1, "prior": [[1.0, 0.6], [1.0, '
+        + weight
+        + ']], "mu_ctrl": [0.3, 0.5], "beta": 0.9}]}'
+    )
+    code, out, _ = run(capsys, "validate", str(path))
+    assert code in (0, 1)
+    assert json.loads(out)["ok"] is (code == 0)
+    code, out, err = run(capsys, "truth", str(path))
+    if code == 0:
+        assert json.loads(out)["scenario_id"] == "treated_arm_learning"
+    else:
+        assert code == 2 and out == ""
+        assert err.startswith("[") and err[1 : err.index("]")] in ERROR_CODES, err
 
 
 # --- simulate ----------------------------------------------------------------------

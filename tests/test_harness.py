@@ -1,6 +1,7 @@
 """Experiment orchestration: config parsing, replication, file outputs."""
 
 import json
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -368,26 +369,76 @@ def test_emit_latent_needs_latent_columns():
     assert err.value.code == "latent-required"
 
 
-@pytest.mark.parametrize(
-    "payload,code",
-    [
-        ("", "parse-error"),
-        ("unit,d0,d1,y0,y1\n", "parse-error"),  # header only
-        ("wrong,header\n0,0,0,1,1\n", "schema-error"),
-        ("unit,d0,d1,y0,y1\n0,0,1,0.5\n", "parse-error"),  # short row
-        ("unit,d0,d1,y0,y1\n0,0,1,abc,1.0\n", "parse-error"),
-        ("unit,d0,d1,y0,y1\n0,2,1,0.5,1.0\n", "schema-error"),  # d0 not binary
-        ("unit,d0,d1,y0,y1\n0,0,1,nan,1.0\n", "parse-error"),
-        ("unit,d0,d1,y0,y1\n0,0,1,0.5,-inf\n", "parse-error"),
-        ("unit,d0,d1,y0,y1,y00,y01,y10,y11\n0,0,1,0.5,1.0,0,inf,0,0\n", "parse-error"),
-    ],
-)
+# payload -> (code, message); the message is followed by " (at PATH)"
+_READ_REJECTS = {
+    "": ("parse-error", "panel file is empty"),
+    "unit,d0,d1,y0,y1\n": ("parse-error", "panel has a header but no rows"),  # header only
+    "wrong,header\n0,0,0,1,1\n": (
+        "schema-error",
+        "unexpected panel header 'wrong,header'; want unit,d0,d1,y0,y1 or the latent variant",
+    ),
+    "unit,d0,d1,y0,y1\n0,0,1,0.5\n": ("parse-error", "line 2: expected 5 fields, got 4"),  # short row
+    "unit,d0,d1,y0,y1\n0,0,1,abc,1.0\n": ("parse-error", "line 2: could not convert string to float: 'abc'"),
+    "unit,d0,d1,y0,y1\n0,2,1,0.5,1.0\n": ("schema-error", "d0/d1 columns must be 0 or 1"),  # d0 not binary
+    "unit,d0,d1,y0,y1\n0,0,1,nan,1.0\n": ("parse-error", "line 2: non-finite value"),
+    "unit,d0,d1,y0,y1\n0,0,1,0.5,-inf\n": ("parse-error", "line 2: non-finite value"),
+    "unit,d0,d1,y0,y1,y00,y01,y10,y11\n0,0,1,0.5,1.0,0,inf,0,0\n": ("parse-error", "line 2: non-finite value"),
+    # line numbers count blank lines, and every line break splitlines knows
+    "unit,d0,d1,y0,y1\n\n\n": ("parse-error", "panel has a header but no rows"),
+    "unit,d0,d1,y0,y1\n0,0,1,0.5,1.0\n\n1,0,1,1e400,1.0\n": ("parse-error", "line 4: non-finite value"),
+    "unit,d0,d1,y0,y1\n0,0,1,0.5,1.0\n\n1,1,1,0.5,1.0,\n": ("parse-error", "line 4: expected 5 fields, got 6"),
+    "unit,d0,d1,y0,y1\n0,0,1,0.5,1.0\n1,1,1,\x1f1,1.0\n": (
+        "parse-error",
+        "line 3: could not convert string to float: '\\x1f1'",
+    ),
+    "unit,d0,d1,y0,y1\r\n0,0,1,0.5,1.0\x0c\r\n1,1,1,0.5,1.0.0\r\n": (
+        "parse-error",
+        "line 4: could not convert string to float: '1.0.0'",
+    ),
+}
+
+
+@pytest.mark.parametrize("payload,code", [(payload, code) for payload, (code, _) in _READ_REJECTS.items()])
 def test_read_panel_rejects(tmp_path, payload, code):
     path = tmp_path / "bad.csv"
     path.write_text(payload)
     with pytest.raises(LabError) as err:
         read_panel_csv(path)
     assert err.value.code == code
+    assert str(err.value) == f"[{code}] {_READ_REJECTS[payload][1]} (at {path})"
+
+
+@pytest.mark.parametrize("emit_latent", [False, True])
+def test_read_panel_parses_a_written_panel_in_one_pass(shipped_joints, monkeypatch, tmp_path, emit_latent):
+    panel = draw_panel(shipped_joints["stopping_informative"], 500, seed=8)
+    path = tmp_path / "p.csv"
+    path.write_text("\n".join(panel_csv_lines(panel, emit_latent)) + "\n")
+
+    def no_line_parser(*args):
+        raise AssertionError("a written panel went to the line parser")
+
+    monkeypatch.setattr(harness, "_line_rows", no_line_parser)
+    back = read_panel_csv(path)
+    assert np.array_equal(back.y0, panel.y0) and np.array_equal(back.y1, panel.y1)
+    if emit_latent:
+        assert np.array_equal(back.po, panel.po)
+
+
+@pytest.mark.parametrize("emit_latent", [False, True])
+def test_read_panel_memory_is_a_few_times_the_file(shipped_joints, tmp_path, emit_latent):
+    """Reading a 20,000-row panel peaks below 12 times its file size; the
+    line parser alone peaks at 18 to 23 times."""
+    panel = draw_panel(shipped_joints["stopping_informative"], 20_000, seed=9)
+    path = tmp_path / "p.csv"
+    path.write_text("\n".join(panel_csv_lines(panel, emit_latent)) + "\n")
+    tracemalloc.start()
+    try:
+        back = read_panel_csv(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert back.n == 20_000
+    assert peak < 12 * path.stat().st_size, (peak, path.stat().st_size)
 
 
 def test_read_panel_rejects_huge_treatment_values_without_a_cast_warning(tmp_path):

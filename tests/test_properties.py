@@ -6,7 +6,7 @@ import tempfile
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from didlab.core import BoundsInterval, Panel
@@ -14,11 +14,11 @@ from didlab.corpus import random_config
 from didlab.diagnostics import empirical_cell_table, partial_pt, selection_stationarity
 from didlab.errors import LabError
 from didlab.estimators import ALL_ESTIMATORS, ESTIMATORS, ObservedCells, did_switchers, mts_bounds
-from didlab.harness import panel_csv_lines, read_panel_csv
+from didlab.harness import PANEL_HEADER, PANEL_HEADER_LATENT, panel_csv_lines, read_panel_csv
 from didlab.oracle import cell_table, pt_deviation
 from didlab.scenarios import AtomSampler, build_joint, draw_panel, posterior_mean
 
-from _brute import brute_estimates, brute_posterior
+from _brute import brute_estimates, brute_posterior, brute_read_panel
 
 _finite = st.floats(-10.0, 10.0, allow_nan=False, allow_infinity=False)
 
@@ -158,6 +158,93 @@ def test_panel_csv_round_trip(seed, draw_seed):
         assert np.array_equal(back.y1, panel.y1)
         if latent:
             assert np.array_equal(back.po, panel.po)
+
+
+# panel.csv fields as didlab writes them
+_WRITTEN = st.one_of(
+    st.sampled_from(["0", "1", "0.0", "1.0", "-0.0", "2.5"]),
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+)
+# fields made of plain bytes alone that are not written floats, some of
+# which float() rejects
+_PLAIN = st.sampled_from(["", "1e400", "-1e400", "1e", ".", "+", "-", "1.0.0", "e5", "+.5e-3", "1-2", "00", "1e300"])
+# fields holding other bytes, which float() and np.loadtxt may read apart
+_OTHER = st.sampled_from(["nan", "-inf", "inf", "\x1f1", "1.5\x1f", "1_0", "\u0661", " 1", "1 ", "\t0.5", "0x1", "abc"])
+_ANY = st.text(st.characters(codec="utf-8"), max_size=3)
+# line breaks, with splitlines' blank lines among them
+_BREAKS = st.sampled_from(["\r\n", "\r", "\x0c", "\x1c", "\u2028", "\n\x0c\n", "\n\r\n"])
+
+
+@st.composite
+def panel_texts(draw):
+    """A panel.csv text whose rows are written as didlab writes them, and
+    then, unless the style is "written", have one to three fields swapped
+    for fields of that style.  Those rows may also all lose or all gain a
+    field, or each draw its own width, and outside style "plain" they may
+    be split by other line breaks."""
+    style = draw(st.sampled_from(["written", "plain", "other", "any"]))
+    header = PANEL_HEADER_LATENT if draw(st.booleans()) else PANEL_HEADER
+    rows = []
+    for _ in range(draw(st.integers(0, 6))):
+        row = [str(draw(st.integers(0, 10**6))), draw(st.sampled_from("01")), draw(st.sampled_from("01"))]
+        rows.append(row + [draw(_WRITTEN) for _ in range(len(header) - 3)])
+    breaks = st.sampled_from(["\n", "\n\n"])
+    if style != "written" and rows:
+        odd = {"plain": _PLAIN, "other": _OTHER, "any": st.one_of(_PLAIN, _OTHER, _ANY)}[style]
+        for _ in range(draw(st.integers(1, 3))):
+            row = rows[draw(st.integers(0, len(rows) - 1))]
+            row[draw(st.integers(0, len(row) - 1))] = draw(odd)
+        shape = draw(st.sampled_from(["same", "same", "short", "long", "ragged"]))
+        for i, row in enumerate(rows):
+            width = draw(st.sampled_from(["same", "short", "long"])) if shape == "ragged" else shape
+            rows[i] = {"same": row, "short": row[:-1], "long": row + ["0"]}[width]
+        if style != "plain" and draw(st.booleans()):
+            breaks = st.one_of(breaks, _BREAKS)
+    text = ",".join(header)
+    for row in rows:
+        text += draw(breaks) + ",".join(row)
+    return text + draw(st.sampled_from(["", "\n"]))
+
+
+def _read_outcome(reader, path):
+    """reader's columns as (dtype, shape, bytes), or its error code and text."""
+    try:
+        panel = reader(path)
+    except LabError as err:
+        return err.code, str(err)
+    cols = (panel.d0, panel.d1, panel.y0, panel.y1) + ((panel.po,) if panel.has_latent else ())
+    return tuple((c.dtype.str, c.shape, c.tobytes()) for c in cols)
+
+
+_H = ",".join(PANEL_HEADER) + "\n"
+_HL = ",".join(PANEL_HEADER_LATENT) + "\n"
+
+
+@given(panel_texts())
+@example(_H + "0,0,1,\x1f1,1.0\n")
+@example(_H + "0,0,1,1.5\x1f,1.0\n")
+@example(_H + "0,0,1,1_0,1.0\n")
+@example(_H + "0,0,1,\u0661,1.0\n")
+@example(_H + "0, 0,1,0.5 ,1.0\n")
+@example(_H + "\n0,0,1,0.5,1.0\x0c1,1,1,2.5,3.0\r\r\n")
+@example(_H[:-1] + "\r\n0,0,1,0.5,1.0\r\n")
+@example(_H + "0,0,1,0.5,1.0,\n")
+@example(_H + "0,0,1,,1.0\n")
+@example(_H + "0,0,1,0.5,1.0,2\n1,0,1,0.5,1.0,2\n")
+@example(_H + "0,0,1,nan,1.0\n")
+@example(_H + "0,0,1,-inf,1.0\n")
+@example(_H + "0,0,1,0.5,1.0\n1,1,1,1e400,1.0\n")
+@example(_HL + "0,0,1,0.5,1.0,0.5,2.0,3.0,1.0\n1,1,1,2.0,3.0,1.0,2.0,2.0,3.0\n")
+@example(_HL + "0,0,1,0.5,1.0,0.5,2.0,3.0\n1,1,1,2.0,3.0,1.0,2.0,2.0\n")
+@settings(max_examples=200, deadline=None)
+def test_read_panel_matches_the_line_parser(text):
+    fd, path = tempfile.mkstemp(suffix=".csv")
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(text.encode("utf-8"))
+        assert _read_outcome(read_panel_csv, path) == _read_outcome(brute_read_panel, path)
+    finally:
+        os.unlink(path)
 
 
 @st.composite
