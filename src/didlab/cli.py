@@ -29,20 +29,9 @@ from .harness import (
     sampled_panel_csv,
     write_outputs,
 )
-from .scenarios import AtomSampler, build_joint
+from .scenarios import SCENARIO_CLASSES, AtomSampler, build_joint
 
 __all__ = ["main"]
-
-_CATALOG_NOTES = {
-    "past_outcome_selection": "treatment tracks the previous untreated outcome",
-    "no_learning": "forward-looking types whose arm means are known up front",
-    "treated_arm_learning": "beliefs update only about the treated arm",
-    "control_arm_learning": "untreated outcomes reveal the risky arm's quality",
-    "roy_repeated": "each period takes whichever arm pays more that period",
-    "roy_irreversible": "outcome comparison with treatment lock-in",
-    "optimal_stopping": "continue or stop on the expected continuation value",
-}
-
 
 class _ExitCode(Exception):
     def __init__(self, code: int):
@@ -160,9 +149,9 @@ def _cmd_scenarios(args) -> int:
     by_tag: dict[str, list[str]] = {}
     for name in shipped_names():
         by_tag.setdefault(shipped_config(name).scenario_id, []).append(name)
-    for tag, note in _CATALOG_NOTES.items():
+    for tag, cls in SCENARIO_CLASSES.items():
         names = ", ".join(by_tag.get(tag, [])) or "-"
-        print(f"{tag:24s} {note}; shipped: {names}")
+        print(f"{tag:24s} {cls.note}; shipped: {names}")
     return 0
 
 

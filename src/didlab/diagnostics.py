@@ -9,7 +9,7 @@ latent-gated.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Union
 
 import numpy as np
@@ -71,11 +71,7 @@ class PartialPtReport:
     source: str
 
     def to_json(self) -> dict:
-        return {
-            "dev_d0": self.dev_d0,
-            "dev_d1_given_d0": self.dev_d1_given_d0,
-            "source": self.source,
-        }
+        return asdict(self)
 
 
 def partial_pt(table: CellTable) -> PartialPtReport:
@@ -112,11 +108,7 @@ class SelectionStationarityReport:
     source: str
 
     def to_json(self) -> dict:
-        return {
-            "dev_d0": self.dev_d0,
-            "dev_d1_given_d0": self.dev_d1_given_d0,
-            "source": self.source,
-        }
+        return asdict(self)
 
 
 def selection_stationarity(table: CellTable) -> SelectionStationarityReport:
@@ -183,17 +175,7 @@ class TrendDecomposition:
     residual: float
 
     def to_json(self) -> dict:
-        return {
-            "weight_stay": self.weight_stay,
-            "weight_exit": self.weight_exit,
-            "weight_never": self.weight_never,
-            "term_stay": self.term_stay,
-            "term_exit": self.term_exit,
-            "term_never": self.term_never,
-            "reconstructed": self.reconstructed,
-            "actual": self.actual,
-            "residual": self.residual,
-        }
+        return asdict(self)
 
 
 def trend_decomposition(table: CellTable) -> TrendDecomposition:

@@ -10,7 +10,7 @@ unreachable from any code path in this module.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Union
 
 import numpy as np
@@ -50,16 +50,7 @@ class EstimateReport:
             )
 
     def to_json(self) -> dict:
-        if isinstance(self.value, BoundsInterval):
-            value = {"lower": self.value.lower, "upper": self.value.upper}
-        else:
-            value = self.value
-        return {
-            "estimator_id": self.estimator_id,
-            "value": value,
-            "assumptions": list(self.assumptions),
-            "n_cells": self.n_cells,
-        }
+        return {**asdict(self), "assumptions": list(self.assumptions)}
 
 
 class ObservedCells:

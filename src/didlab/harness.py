@@ -202,7 +202,23 @@ def _oracle_block(config: ScenarioConfig, joint: JointDistribution, estimator_id
         else:
             plugin[est_id] = rpt.value
     block["plugin"] = plugin
+    bad = _first_non_finite(block)
+    if bad is not None:
+        raise LabError("non-finite", "an exact population quantity overflows the float range", bad)
     return block
+
+
+def _first_non_finite(obj: dict, path: str = "") -> Optional[str]:
+    """The JSON pointer of the first non-finite float in the nested dicts
+    obj, in insertion order, or None when every float in them is finite."""
+    for key, value in obj.items():
+        if isinstance(value, dict):
+            bad = _first_non_finite(value, f"{path}/{key}")
+            if bad is not None:
+                return bad
+        elif isinstance(value, float) and not math.isfinite(value):
+            return f"{path}/{key}"
+    return None
 
 
 def _replicate(sampler: AtomSampler, cfg: ExperimentConfig, r: int):

@@ -7,7 +7,10 @@ the potential-outcome columns that rule looks at besides the type, and
 _grid() enumerates the whole latent support as one block, sized in advance
 by _grid_size().  build_joint() turns any scenario's grid and rule into the
 full population distribution, and AtomSampler samples from it reproducibly:
-atom counts for a replication, or a panel (draw_panel()).
+atom counts for a replication, or a panel (draw_panel()).  Each scenario
+also carries its own parallel-trends condition (conditions()), its catalog
+note, and its JSON fields, declared once (json_fields); ScenarioConfig
+lists the whole protocol.
 
 A type's decision quantities (its trace, prior mean, posteriors, gains) are
 computed once per config, on first read, and shared by validate() and
@@ -24,10 +27,10 @@ convention.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import cached_property
 from itertools import product
-from typing import Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -237,9 +240,214 @@ def _check_unit(report: ValidationReport, x: float, where: str, *args) -> None:
         report.add("prob-range", f"{where.format(*args)} = {x!r} outside [0, 1]", x)
 
 
+def _check_common_trend(report: ValidationReport, taus: list[float]) -> None:
+    if taus and max(taus) - min(taus) > EXACT_TOL:
+        report.add(
+            "tau-inconsistent",
+            f"untreated trend varies across types: {min(taus)!r} .. {max(taus)!r}",
+            *taus,
+        )
+
+
 def _warn_edge(report: ValidationReport, stat: float, what: str, *args) -> None:
     if abs(stat) < KNIFE_EDGE_MARGIN:
         report.warn(f"knife-edge: {what.format(*args)} = {stat!r} is within {KNIFE_EDGE_MARGIN} of the threshold")
+
+
+# ---------------------------------------------------------------------------
+# JSON schema for scenario configs
+#
+# The decoders take the JSON pointer of their value as a parent path plus
+# the keys under it, and join them only to raise: a config decodes without
+# formatting a pointer per number.
+
+
+def _pointer(path: str, keys) -> str:
+    return path + "".join(f"/{k}" for k in keys)
+
+
+def _num(obj, path: str, *keys) -> float:
+    """obj as a finite float, or a schema-error at path/keys."""
+    if type(obj) is float and math.isfinite(obj):
+        return obj
+    if isinstance(obj, bool) or not isinstance(obj, (int, float)):
+        raise LabError("schema-error", f"expected a number, got {type(obj).__name__}", _pointer(path, keys))
+    try:
+        x = float(obj)
+    except OverflowError:
+        raise LabError("schema-error", "integer too large for a float", _pointer(path, keys)) from None
+    if not math.isfinite(x):
+        raise LabError("schema-error", f"non-finite number {obj!r}", _pointer(path, keys))
+    return x
+
+
+def _numlist(obj, k: int, path: str, *keys) -> tuple[float, ...]:
+    """obj as a tuple of k finite floats, or a schema-error at path/keys or at
+    the entry that is not one."""
+    if not isinstance(obj, list) or len(obj) != k:
+        raise LabError("schema-error", f"expected a list of {k} numbers", _pointer(path, keys))
+    out = tuple(obj)
+    for v in out:
+        if type(v) is not float or not math.isfinite(v):
+            return tuple([_num(x, path, *keys, j) for j, x in enumerate(obj)])
+    return out
+
+
+def _matrix(obj, path: str, key: str) -> tuple[tuple[float, float], tuple[float, float]]:
+    """obj as a 2x2 matrix of finite floats; path/key is obj's pointer."""
+    if not isinstance(obj, list) or len(obj) != 2:
+        raise LabError("schema-error", f"{key} must be a 2x2 matrix", f"{path}/{key}")
+    return _numlist(obj[0], 2, path, key, 0), _numlist(obj[1], 2, path, key, 1)
+
+
+def _binary(obj, path: str, *keys) -> int:
+    if obj not in (0, 1) or isinstance(obj, bool):
+        raise LabError("schema-error", f"expected 0 or 1, got {obj!r}", _pointer(path, keys))
+    return int(obj)
+
+
+def _prior(obj, path: str, key: str) -> Prior:
+    if not isinstance(obj, list) or not obj:
+        raise LabError("schema-error", "prior must be a nonempty list of [rate, weight] pairs", f"{path}/{key}")
+    return tuple(_numlist(e, 2, path, key, i) for i, e in enumerate(obj))
+
+
+def _costs(obj: dict, path: str) -> CostTable:
+    """The optional k0 and k1 of the type object obj at path."""
+    k0 = _numlist(obj["k0"], 2, path, "k0") if "k0" in obj else (0.0, 0.0)
+    k1 = _matrix(obj["k1"], path, "k1") if "k1" in obj else ((0.0, 0.0), (0.0, 0.0))
+    return CostTable(k0=k0, k1=k1)
+
+
+Pmf16 = tuple[tuple[tuple[int, int, int, int], float], ...]
+
+
+def _pmf16_json(obj, path: str, key: str) -> Pmf16:
+    if not isinstance(obj, list) or not obj:
+        raise LabError("schema-error", "pmf must be a nonempty list of [y00,y01,y10,y11,prob]", f"{path}/{key}")
+    entries = []
+    for i, row in enumerate(obj):
+        if not isinstance(row, list) or len(row) != 5:
+            raise LabError("schema-error", "pmf row must be [y00,y01,y10,y11,prob]", f"{path}/{key}/{i}")
+        po = tuple(_binary(v, path, key, i, j) for j, v in enumerate(row[:4]))
+        entries.append((po, _num(row[4], path, key, i, 4)))
+    return tuple(sorted(entries, key=lambda e: e[0]))
+
+
+def _stopping_pmf(obj, path: str, key: str) -> tuple[tuple[tuple[float, float], float], ...]:
+    if not isinstance(obj, list) or not obj:
+        raise LabError("schema-error", "pmf must be a nonempty list of [y0, y1, prob]", f"{path}/{key}")
+    pmf = []
+    for j, row in enumerate(obj):
+        y0, y1, p = _numlist(row, 3, path, key, j)
+        pmf.append(((y0, y1), p))
+    return tuple(pmf)
+
+
+class _Codec(NamedTuple):
+    """How one config field is read from JSON and written back.
+
+    decode(raw, path, key) is the field's value from the JSON value raw at
+    pointer path/key, or a schema-error; encode(value) is the JSON value.  A
+    codec with keys spreads its field over those optional keys of the field's
+    object: decode(obj, path) reads them from obj, and encode(value) returns
+    them as a dict."""
+
+    decode: Callable
+    encode: Callable
+    keys: tuple[str, ...] = ()
+
+
+def _lists(rows) -> list:
+    return [list(row) for row in rows]
+
+
+_NUM = _Codec(_num, lambda x: x)
+_PAIR = _Codec(lambda obj, path, key: _numlist(obj, 2, path, key), list)
+_MATRIX = _Codec(_matrix, _lists)
+_PRIOR = _Codec(_prior, _lists)
+_COSTS = _Codec(_costs, lambda c: {"k0": list(c.k0), "k1": _lists(c.k1)}, ("k0", "k1"))
+_PMF16 = _Codec(_pmf16_json, lambda pmf: [[*po, p] for po, p in pmf])
+_STOPPING_PMF = _Codec(_stopping_pmf, lambda pmf: [[y0, y1, p] for (y0, y1), p in pmf])
+
+
+def _types(cls) -> _Codec:
+    """The codec of a nonempty list of cls objects, each checked to be an
+    object before any is decoded."""
+
+    def decode(obj, path: str, key: str) -> tuple:
+        path = f"{path}/{key}"
+        if not isinstance(obj, list) or not obj:
+            raise LabError("schema-error", "types must be a nonempty list", path)
+        for i, t in enumerate(obj):
+            if not isinstance(t, dict):
+                raise LabError("schema-error", "each type must be a JSON object", f"{path}/{i}")
+        return tuple([_decode(cls, t, f"{path}/{i}") for i, t in enumerate(obj)])
+
+    return _Codec(decode, lambda types: [_encode(ty) for ty in types])
+
+
+class _Record:
+    """A config dataclass whose JSON object is declared once, as json_fields:
+    (field, codec) pairs.  _decode and _encode are derived from it, and the
+    fields decode in its order, so that order fixes which error a config
+    with several bad fields reports.  The keys _decode expects are worked
+    out here, once per class."""
+
+    json_fields: tuple[tuple[str, _Codec], ...] = ()
+    _tag: tuple[str, ...] = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._required = cls._tag + tuple(name for name, codec in cls.json_fields if not codec.keys)
+        cls._known = frozenset(cls._required).union(*(codec.keys for _, codec in cls.json_fields))
+
+
+def _decode(cls, obj: dict, path: str):
+    """cls from its JSON object obj at pointer path, strict about keys."""
+    if not cls._known.issuperset(obj):
+        k = next(k for k in obj if k not in cls._known)
+        raise LabError("schema-error", f"unknown key {k!r}", f"{path}/{k}")
+    for k in cls._required:
+        if k not in obj:
+            raise LabError("schema-error", f"missing key {k!r}", f"{path}/{k}")
+    values = {}
+    for name, codec in cls.json_fields:
+        values[name] = codec.decode(obj, path) if codec.keys else codec.decode(obj[name], path, name)
+    return cls(**values)
+
+
+def _encode(record) -> dict:
+    out = {}
+    for name, codec in record.json_fields:
+        value = codec.encode(getattr(record, name))
+        if codec.keys:
+            out.update(value)
+        else:
+            out[name] = value
+    return out
+
+
+class ScenarioConfig(_Record):
+    """What a scenario class declares besides its json_fields:
+
+    scenario_id       its JSON tag;
+    note              its line in the `didlab scenarios` catalog;
+    reads             the potential-outcome columns decide() reads besides
+                      the type (see build_joint);
+    validate()        its ValidationReport;
+    decide(state)     its exact decision rule, a DecisionTrace;
+    _grid_size(), _grid()  its latent grid (see build_joint);
+    conditions(arr, gap)   its parallel-trends condition, given the joint's
+                      arrays and stationarity gap E[Y1(0)] - E[Y0(0)]: a
+                      dict of predicts_pt and the ConditionReport fields it
+                      sets.
+    """
+
+    _tag = ("scenario",)
+
+    def to_json(self) -> dict:
+        return {"scenario": self.scenario_id, **_encode(self)}
 
 
 # ---------------------------------------------------------------------------
@@ -247,7 +455,7 @@ def _warn_edge(report: ValidationReport, stat: float, what: str, *args) -> None:
 
 
 @dataclass(frozen=True)
-class PastOutcomeSelection:
+class PastOutcomeSelection(ScenarioConfig):
     """Period-1 treatment goes to exactly the units whose period-0 untreated
     outcome was 0; nobody is treated in period 0.  Binary outcomes; the
     untreated pair follows a two-state Markov step, treated outcomes are
@@ -258,7 +466,9 @@ class PastOutcomeSelection:
     mean_y_treated: tuple[float, float]
 
     scenario_id = "past_outcome_selection"
+    note = "treatment tracks the previous untreated outcome"
     reads = (0,)  # y00
+    json_fields = (("trans_ctrl", _MATRIX), ("p_y00", _NUM), ("mean_y_treated", _PAIR))
 
     def validate(self) -> ValidationReport:
         rep = ValidationReport()
@@ -292,13 +502,13 @@ class PastOutcomeSelection:
         )
         return np.zeros(16, dtype=np.int64), _PO16, p
 
-    def to_json(self) -> dict:
-        return {
-            "scenario": self.scenario_id,
-            "p_y00": self.p_y00,
-            "trans_ctrl": [list(r) for r in self.trans_ctrl],
-            "mean_y_treated": list(self.mean_y_treated),
-        }
+    def conditions(self, arr, gap) -> dict:
+        """Parallel trends holds iff the untreated transition is the
+        identity: past_selection_deviation, 1 + P(Y_1(0) = 1 | Y_0(0) = 0)
+        - P(Y_1(0) = 1 | Y_0(0) = 1), is 0."""
+        t = self.trans_ctrl
+        formula = t[0][1] - t[1][1] + 1.0
+        return {"past_selection_deviation": formula, "predicts_pt": abs(formula) <= EXACT_TOL}
 
 
 # ---------------------------------------------------------------------------
@@ -306,15 +516,17 @@ class PastOutcomeSelection:
 
 
 @dataclass(frozen=True)
-class NoLearningType:
+class NoLearningType(_Record):
     prob: float
     mu: tuple[tuple[float, float], tuple[float, float]]  # mu[t][d]
     costs: CostTable = CostTable()
     beta: float = 0.9
 
+    json_fields = (("mu", _MATRIX), ("prob", _NUM), ("costs", _COSTS), ("beta", _NUM))
+
 
 @dataclass(frozen=True)
-class NoLearning:
+class NoLearning(ScenarioConfig):
     """Bernoulli means of all four potential outcomes are known to each type
     at the outset, so realized outcomes carry no news and decisions are a
     function of the type alone."""
@@ -322,7 +534,9 @@ class NoLearning:
     types: tuple[NoLearningType, ...]
 
     scenario_id = "no_learning"
+    note = "forward-looking types whose arm means are known up front"
     reads = ()  # the type alone
+    json_fields = (("types", _types(NoLearningType)),)
 
     def validate(self) -> ValidationReport:
         rep = ValidationReport()
@@ -342,12 +556,7 @@ class NoLearning:
                 _warn_edge(rep, tr.gains, "types[{}] period-0 gain", i)
                 for d0 in (0, 1):
                     _warn_edge(rep, self._g1(ty, d0), "types[{}] period-1 gain given d0={}", i, d0)
-        if taus and max(taus) - min(taus) > EXACT_TOL:
-            rep.add(
-                "tau-inconsistent",
-                f"untreated trend varies across types: {min(taus)!r} .. {max(taus)!r}",
-                *taus,
-            )
+        _check_common_trend(rep, taus)
         return rep
 
     @staticmethod
@@ -384,20 +593,11 @@ class NoLearning:
         p = prob * b[..., 0] * b[..., 1] * b[..., 2] * b[..., 3]
         return np.repeat(np.arange(k), 16), np.tile(_PO16, (k, 1)), p.ravel()
 
-    def to_json(self) -> dict:
-        return {
-            "scenario": self.scenario_id,
-            "types": [
-                {
-                    "prob": ty.prob,
-                    "mu": [list(r) for r in ty.mu],
-                    "k0": list(ty.costs.k0),
-                    "k1": [list(r) for r in ty.costs.k1],
-                    "beta": ty.beta,
-                }
-                for ty in self.types
-            ],
-        }
+    def conditions(self, arr, gap) -> dict:
+        """Parallel trends holds for every validated config: decisions depend
+        on the type alone, and validation requires one untreated trend
+        across types."""
+        return {"predicts_pt": True}
 
 
 # ---------------------------------------------------------------------------
@@ -405,16 +605,18 @@ class NoLearning:
 
 
 @dataclass(frozen=True)
-class TreatedLearningType:
+class TreatedLearningType(_Record):
     prob: float
     prior: Prior  # pmf over the treated-arm success rate
     mu_ctrl: tuple[float, float]  # known untreated means (period 0, period 1)
     costs: CostTable = CostTable()
     beta: float = 0.9
 
+    json_fields = (("prob", _NUM), ("prior", _PRIOR), ("mu_ctrl", _PAIR), ("costs", _COSTS), ("beta", _NUM))
+
 
 @dataclass(frozen=True)
-class TreatedArmLearning:
+class TreatedArmLearning(ScenarioConfig):
     """The treated-arm success rate is unknown; trying treatment in period 0
     reveals one draw from it.  Untreated outcomes are fully known, so nothing
     observed while untreated moves beliefs."""
@@ -422,7 +624,9 @@ class TreatedArmLearning:
     types: tuple[TreatedLearningType, ...]
 
     scenario_id = "treated_arm_learning"
+    note = "beliefs update only about the treated arm"
     reads = (1,)  # y01
+    json_fields = (("types", _types(TreatedLearningType)),)
 
     def validate(self) -> ValidationReport:
         rep = ValidationReport()
@@ -439,12 +643,7 @@ class TreatedArmLearning:
             taus.append(ty.mu_ctrl[1] - ty.mu_ctrl[0])
             if rep.ok:
                 self._warn_type(rep, ty, i)
-        if taus and max(taus) - min(taus) > EXACT_TOL:
-            rep.add(
-                "tau-inconsistent",
-                f"untreated trend varies across types: {min(taus)!r} .. {max(taus)!r}",
-                *taus,
-            )
+        _check_common_trend(rep, taus)
         return rep
 
     def _warn_type(self, rep: ValidationReport, ty: TreatedLearningType, i: int) -> None:
@@ -515,21 +714,11 @@ class TreatedArmLearning:
         )
         return np.repeat(u.ravel().astype(np.int64), 16), np.tile(_PO16, (len(latent), 1)), p.ravel()
 
-    def to_json(self) -> dict:
-        return {
-            "scenario": self.scenario_id,
-            "types": [
-                {
-                    "prob": ty.prob,
-                    "prior": [list(pair) for pair in ty.prior],
-                    "mu_ctrl": list(ty.mu_ctrl),
-                    "k0": list(ty.costs.k0),
-                    "k1": [list(r) for r in ty.costs.k1],
-                    "beta": ty.beta,
-                }
-                for ty in self.types
-            ],
-        }
+    def conditions(self, arr, gap) -> dict:
+        """Parallel trends holds for every validated config: only treated
+        outcomes move beliefs, and validation requires one untreated trend
+        across types."""
+        return {"predicts_pt": True}
 
 
 # ---------------------------------------------------------------------------
@@ -537,15 +726,42 @@ class TreatedArmLearning:
 
 
 @dataclass(frozen=True)
-class ControlLearningType:
+class LearnerClassification:
+    """Partition of the control-learning population by whether the period-1
+    choice can flip with the period-0 outcome.
+
+    p_a: mass that treats regardless of what was observed;
+    p_n: mass that never treats;
+    p_vl: mass whose choice tracks the period-0 untreated outcome ("valuable
+    learners"), split into p_vl0/p_vl1 by that outcome;
+    persistence_on_vl: P(Y0(0) = Y1(0) | valuable learner), vacuously 1 when
+    p_vl = 0; tau: the common untreated trend (identically 0 here).
+    """
+
+    p_a: float
+    p_n: float
+    p_vl: float
+    p_vl0: float
+    p_vl1: float
+    persistence_on_vl: float
+    tau: float
+
+    def to_json(self) -> dict:
+        return asdict(self)
+
+
+@dataclass(frozen=True)
+class ControlLearningType(_Record):
     prob: float
     prior: Prior  # pmf over the untreated-arm success rate
     mu_treat1: float  # known mean of Y_1(1)
     ktilde1: float  # period-1 treatment cost differential
 
+    json_fields = (("prob", _NUM), ("prior", _PRIOR), ("mu_treat1", _NUM), ("ktilde1", _NUM))
+
 
 @dataclass(frozen=True)
-class ControlArmLearning:
+class ControlArmLearning(ScenarioConfig):
     """Nobody can be treated in period 0; watching the untreated outcome
     updates beliefs about the untreated arm, so the period-1 choice compares
     a fixed treated value against a moving posterior."""
@@ -553,7 +769,9 @@ class ControlArmLearning:
     types: tuple[ControlLearningType, ...]
 
     scenario_id = "control_arm_learning"
+    note = "untreated outcomes reveal the risky arm's quality"
     reads = (0,)  # y00
+    json_fields = (("types", _types(ControlLearningType)),)
 
     def validate(self) -> ValidationReport:
         rep = ValidationReport()
@@ -626,35 +844,58 @@ class ControlArmLearning:
         p = prob * w_theta * _bern_col(y[0], theta) * _bern_col(y[2], theta) * _bern_col(y[3], treat1)
         return np.repeat(u.ravel().astype(np.int64), 8), np.tile(_PO8, (len(latent), 1)), p.ravel()
 
-    def to_json(self) -> dict:
+    def classify_learners(self) -> LearnerClassification:
+        """Classify each type by comparing the treated value a = mu_treat1 -
+        ktilde1 against the posterior-mean band [l0, l1] of the untreated
+        arm."""
+        p_a = p_n = p_vl = p_vl0 = p_vl1 = 0.0
+        persist_mass = 0.0
+        # untreated draws are exchangeable across periods, so the common trend is
+        # identically zero for every type
+        tau = 0.0
+        for i, ty in enumerate(self.types):
+            a = ty.mu_treat1 - ty.ktilde1
+            beliefs = self._beliefs[i]
+            l0 = beliefs.post_or_prior(0)
+            l1 = beliefs.post_or_prior(1)
+            mean = beliefs.mean
+            if a >= l1:
+                p_a += ty.prob
+            elif a < l0:
+                p_n += ty.prob
+            else:
+                p_vl += ty.prob
+                p_vl0 += ty.prob * (1.0 - mean)
+                p_vl1 += ty.prob * mean
+                persist_mass += ty.prob * sum(
+                    w * (t * t + (1.0 - t) * (1.0 - t)) for t, w in ty.prior
+                )
+        persistence = persist_mass / p_vl if p_vl > 0.0 else 1.0
+        return LearnerClassification(
+            p_a=p_a,
+            p_n=p_n,
+            p_vl=p_vl,
+            p_vl0=p_vl0,
+            p_vl1=p_vl1,
+            persistence_on_vl=persistence,
+            tau=tau,
+        )
+
+    def conditions(self, arr, gap) -> dict:
+        """Parallel trends holds iff there are no valuable learners, or their
+        outcomes persist perfectly and the trend is zero."""
+        learners = self.classify_learners()
         return {
-            "scenario": self.scenario_id,
-            "types": [
-                {
-                    "prob": ty.prob,
-                    "prior": [list(pair) for pair in ty.prior],
-                    "mu_treat1": ty.mu_treat1,
-                    "ktilde1": ty.ktilde1,
-                }
-                for ty in self.types
-            ],
+            "p_vl": learners.p_vl,
+            "persistence_on_vl": learners.persistence_on_vl,
+            "tau": learners.tau,
+            "predicts_pt": learners.p_vl <= EXACT_TOL
+            or (learners.persistence_on_vl >= 1.0 - EXACT_TOL and abs(learners.tau) <= EXACT_TOL),
         }
 
 
 # ---------------------------------------------------------------------------
 # scenarios E and F: contemporaneous outcome comparison (Roy selection)
-
-Pmf16 = tuple[tuple[tuple[int, int, int, int], float], ...]
-
-
-def _pmf16_from(entries) -> Pmf16:
-    return tuple(sorted(((tuple(po), float(p)) for po, p in entries), key=lambda e: e[0]))
-
-
-def _pmf16_grid(pmf: Pmf16):
-    rows = np.array([(*po, p) for po, p in pmf], dtype=np.float64).reshape(-1, 5)
-    return np.zeros(len(rows), dtype=np.int64), rows[:, :4], rows[:, 4]
-
 
 def _validate_pmf16(rep: ValidationReport, pmf: Pmf16) -> None:
     _check_pmf(rep, [p for _, p in pmf], "pmf")
@@ -668,14 +909,16 @@ def _validate_pmf16(rep: ValidationReport, pmf: Pmf16) -> None:
 
 
 @dataclass(frozen=True)
-class RoyRepeated:
+class RoyRepeated(ScenarioConfig):
     """Each period's treatment is whichever arm has the larger outcome that
     period, chosen fresh both periods."""
 
     pmf: Pmf16
 
     scenario_id = "roy_repeated"
+    note = "each period takes whichever arm pays more that period"
     reads = (0, 1, 2, 3)
+    json_fields = (("pmf", _PMF16),)
 
     def validate(self) -> ValidationReport:
         rep = ValidationReport()
@@ -696,17 +939,27 @@ class RoyRepeated:
         return len(self.pmf)
 
     def _grid(self):
-        return _pmf16_grid(self.pmf)
+        rows = np.array([(*po, p) for po, p in self.pmf], dtype=np.float64).reshape(-1, 5)
+        return np.zeros(len(rows), dtype=np.int64), rows[:, :4], rows[:, 4]
 
-    def to_json(self) -> dict:
+    def conditions(self, arr, gap) -> dict:
+        """Parallel trends holds iff the untreated mean is stationary and
+        the ever-untreated units sit at the top outcome in both periods
+        (degeneracy_ever_untreated is 1), or there are none."""
+        ever = arr["d0"] * arr["d1"] == 0
+        den = float(np.sum(arr["prob"][ever]))
+        if den <= 0.0:
+            return {"predicts_pt": abs(gap) <= EXACT_TOL}
+        both_one = ever & (arr["y00"] == 1.0) & (arr["y10"] == 1.0)
+        degeneracy = float(np.sum(arr["prob"][both_one])) / den
         return {
-            "scenario": self.scenario_id,
-            "pmf": [[*po, p] for po, p in self.pmf],
+            "degeneracy_ever_untreated": degeneracy,
+            "predicts_pt": abs(gap) <= EXACT_TOL and degeneracy >= 1.0 - EXACT_TOL,
         }
 
 
 @dataclass(frozen=True)
-class RoyIrreversible:
+class RoyIrreversible(ScenarioConfig):
     """Roy-style comparison, but leaving treatment is prohibitively costly:
     a unit treated in period 0 stays treated, and period-0 choice weighs the
     foregone option value with discount beta."""
@@ -715,7 +968,9 @@ class RoyIrreversible:
     beta: float = 0.9
 
     scenario_id = "roy_irreversible"
+    note = "outcome comparison with treatment lock-in"
     reads = (0, 1, 2, 3)
+    json_fields = (("pmf", _PMF16), ("beta", _NUM))
 
     def validate(self) -> ValidationReport:
         rep = ValidationReport()
@@ -743,18 +998,10 @@ class RoyIrreversible:
             gains=gains,
         )
 
-    def _grid_size(self) -> int:
-        return len(self.pmf)
-
-    def _grid(self):
-        return _pmf16_grid(self.pmf)
-
-    def to_json(self) -> dict:
-        return {
-            "scenario": self.scenario_id,
-            "beta": self.beta,
-            "pmf": [[*po, p] for po, p in self.pmf],
-        }
+    # the same grid and parallel-trends condition as RoyRepeated
+    _grid_size = RoyRepeated._grid_size
+    _grid = RoyRepeated._grid
+    conditions = RoyRepeated.conditions
 
 
 # ---------------------------------------------------------------------------
@@ -762,12 +1009,14 @@ class RoyIrreversible:
 
 
 @dataclass(frozen=True)
-class StoppingType:
+class StoppingType(_Record):
     prob: float
     k0: float  # cost of continuing through period 0
     k1: float  # cost of continuing through period 1
     beta: float
     pmf: tuple[tuple[tuple[float, float], float], ...]  # ((y0, y1), prob)
+
+    json_fields = (("pmf", _STOPPING_PMF), ("prob", _NUM), ("k0", _NUM), ("k1", _NUM), ("beta", _NUM))
 
 
 class _TypeSums:
@@ -806,7 +1055,7 @@ class _TypeSums:
 
 
 @dataclass(frozen=True)
-class OptimalStopping:
+class OptimalStopping(ScenarioConfig):
     """Units decide each period whether to stop an activity for good
     (treatment = stopping, yields 0 forever).  Continuing costs k_t and pays
     the latent activity outcome; the period-0 rule folds in the discounted
@@ -815,7 +1064,9 @@ class OptimalStopping:
     types: tuple[StoppingType, ...]
 
     scenario_id = "optimal_stopping"
+    note = "continue or stop on the expected continuation value"
     reads = (0,)  # y00
+    json_fields = (("types", _types(StoppingType)),)
 
     def validate(self) -> ValidationReport:
         rep = ValidationReport()
@@ -842,12 +1093,7 @@ class OptimalStopping:
             for y0 in sums.support:
                 _warn_edge(rep, sums.m(y0) - ty.k1, "types[{}] period-1 margin at y0={!r}", i, y0)
             _warn_edge(rep, sums.cont0(), "types[{}] period-0 continuation value", i)
-        if taus and max(taus) - min(taus) > EXACT_TOL:
-            rep.add(
-                "tau-inconsistent",
-                f"untreated trend varies across types: {min(taus)!r} .. {max(taus)!r}",
-                *taus,
-            )
+        _check_common_trend(rep, taus)
         return rep
 
     @cached_property
@@ -884,31 +1130,33 @@ class OptimalStopping:
         u = np.repeat(np.arange(len(self.types)), [len(ty.pmf) for ty in self.types])
         return u, rows[:, :4], rows[:, 4]
 
-    def to_json(self) -> dict:
-        return {
-            "scenario": self.scenario_id,
-            "types": [
-                {
-                    "prob": ty.prob,
-                    "k0": ty.k0,
-                    "k1": ty.k1,
-                    "beta": ty.beta,
-                    "pmf": [[y0, y1, p] for (y0, y1), p in ty.pmf],
-                }
-                for ty in self.types
-            ],
-        }
+    def stopping_residual(self) -> float:
+        """Imbalance between the continue-continue cell's untreated trend mass and
+        its parallel-trends share: sum over continuing types of
+        integral of (E[Y1(0)|u,y0] - y0) over the continue region, minus the
+        common trend times P(D0=0, D1=0).  Zero iff parallel trends holds
+        (whenever both period-1 cells are reachable)."""
+        total_delta0 = 0.0
+        p00 = 0.0
+        tau = 0.0
+        for i, ty in enumerate(self.types):
+            tau += ty.prob * sum(p * (y1 - y0) for (y0, y1), p in ty.pmf)
+            if self._cont0s[i] <= 0.0:
+                continue  # the whole type stops in period 0
+            sums = self._sums[i]
+            for y0 in sums.support:
+                p = sums.mass[y0]
+                m = sums.m(y0)
+                if m - ty.k1 > 0.0:  # continues through period 1
+                    total_delta0 += ty.prob * (m - y0) * p
+                    p00 += ty.prob * p
+        return total_delta0 - tau * p00
 
+    def conditions(self, arr, gap) -> dict:
+        """Parallel trends holds iff the stopping residual is 0."""
+        resid = self.stopping_residual()
+        return {"stopping_residual": resid, "predicts_pt": abs(resid) <= EXACT_TOL}
 
-ScenarioConfig = (
-    PastOutcomeSelection
-    | NoLearning
-    | TreatedArmLearning
-    | ControlArmLearning
-    | RoyRepeated
-    | RoyIrreversible
-    | OptimalStopping
-)
 
 SCENARIO_CLASSES = {
     cls.scenario_id: cls
@@ -922,6 +1170,20 @@ SCENARIO_CLASSES = {
         OptimalStopping,
     )
 }
+
+
+def scenario_from_json(obj, path: str = "") -> ScenarioConfig:
+    """Decode one scenario config from parsed JSON; strict about keys."""
+    if not isinstance(obj, dict):
+        raise LabError("schema-error", "scenario config must be a JSON object", path or "/")
+    tag = obj.get("scenario")
+    if not isinstance(tag, str) or tag not in SCENARIO_CLASSES:
+        raise LabError(
+            "schema-error",
+            f"scenario tag must be one of {sorted(SCENARIO_CLASSES)}, got {tag!r}",
+            f"{path}/scenario",
+        )
+    return _decode(SCENARIO_CLASSES[tag], obj, path)
 
 
 # ---------------------------------------------------------------------------
@@ -1105,199 +1367,3 @@ def draw_panel(joint: JointDistribution, n: int, seed: int) -> Panel:
     """n i.i.d. draws from the joint; deterministic in (joint, n, seed).  See
     AtomSampler."""
     return AtomSampler(joint).panel(n, seed)
-
-
-# ---------------------------------------------------------------------------
-# JSON schema for scenario configs
-
-
-def _expect_keys(obj: dict, required: set[str], optional: set[str], path: str) -> None:
-    for k in obj:
-        if k not in required and k not in optional:
-            raise LabError("schema-error", f"unknown key {k!r}", f"{path}/{k}")
-    for k in required:
-        if k not in obj:
-            raise LabError("schema-error", f"missing key {k!r}", f"{path}/{k}")
-
-
-# The decoders below take the JSON pointer of their value as a parent path
-# plus the keys under it, and join them only to raise: a config decodes
-# without formatting a pointer per number.
-
-
-def _pointer(path: str, keys) -> str:
-    return path + "".join(f"/{k}" for k in keys)
-
-
-def _num(obj, path: str, *keys) -> float:
-    """obj as a finite float, or a schema-error at path/keys."""
-    if type(obj) is float and math.isfinite(obj):
-        return obj
-    if isinstance(obj, bool) or not isinstance(obj, (int, float)):
-        raise LabError("schema-error", f"expected a number, got {type(obj).__name__}", _pointer(path, keys))
-    try:
-        x = float(obj)
-    except OverflowError:
-        raise LabError("schema-error", "integer too large for a float", _pointer(path, keys)) from None
-    if not math.isfinite(x):
-        raise LabError("schema-error", f"non-finite number {obj!r}", _pointer(path, keys))
-    return x
-
-
-def _numlist(obj, k: int, path: str, *keys) -> tuple[float, ...]:
-    """obj as a tuple of k finite floats, or a schema-error at path/keys or at
-    the entry that is not one."""
-    if not isinstance(obj, list) or len(obj) != k:
-        raise LabError("schema-error", f"expected a list of {k} numbers", _pointer(path, keys))
-    out = tuple(obj)
-    for v in out:
-        if type(v) is not float or not math.isfinite(v):
-            return tuple([_num(x, path, *keys, j) for j, x in enumerate(obj)])
-    return out
-
-
-def _matrix(obj: dict, key: str, path: str) -> tuple[tuple[float, float], tuple[float, float]]:
-    """obj[key] as a 2x2 matrix of finite floats; path is obj's pointer."""
-    raw = obj[key]
-    if not isinstance(raw, list) or len(raw) != 2:
-        raise LabError("schema-error", f"{key} must be a 2x2 matrix", f"{path}/{key}")
-    return _numlist(raw[0], 2, path, key, 0), _numlist(raw[1], 2, path, key, 1)
-
-
-def _binary(obj, path: str, *keys) -> int:
-    if obj not in (0, 1) or isinstance(obj, bool):
-        raise LabError("schema-error", f"expected 0 or 1, got {obj!r}", _pointer(path, keys))
-    return int(obj)
-
-
-def _prior(obj, path: str) -> Prior:
-    if not isinstance(obj, list) or not obj:
-        raise LabError("schema-error", "prior must be a nonempty list of [rate, weight] pairs", path)
-    return tuple(_numlist(e, 2, path, i) for i, e in enumerate(obj))
-
-
-def _costs(obj: dict, path: str) -> CostTable:
-    k0 = _numlist(obj["k0"], 2, path, "k0") if "k0" in obj else (0.0, 0.0)
-    k1 = _matrix(obj, "k1", path) if "k1" in obj else ((0.0, 0.0), (0.0, 0.0))
-    return CostTable(k0=k0, k1=k1)
-
-
-def _pmf16_json(obj, path: str) -> Pmf16:
-    if not isinstance(obj, list) or not obj:
-        raise LabError("schema-error", "pmf must be a nonempty list of [y00,y01,y10,y11,prob]", path)
-    entries = []
-    for i, row in enumerate(obj):
-        if not isinstance(row, list) or len(row) != 5:
-            raise LabError("schema-error", "pmf row must be [y00,y01,y10,y11,prob]", f"{path}/{i}")
-        po = tuple(_binary(v, path, i, j) for j, v in enumerate(row[:4]))
-        entries.append((po, _num(row[4], path, i, 4)))
-    return _pmf16_from(entries)
-
-
-def scenario_from_json(obj, path: str = "") -> ScenarioConfig:
-    """Decode one scenario config from parsed JSON; strict about keys."""
-    if not isinstance(obj, dict):
-        raise LabError("schema-error", "scenario config must be a JSON object", path or "/")
-    tag = obj.get("scenario")
-    if not isinstance(tag, str) or tag not in SCENARIO_CLASSES:
-        raise LabError(
-            "schema-error",
-            f"scenario tag must be one of {sorted(SCENARIO_CLASSES)}, got {tag!r}",
-            f"{path}/scenario",
-        )
-    if tag == "past_outcome_selection":
-        _expect_keys(obj, {"scenario", "p_y00", "trans_ctrl", "mean_y_treated"}, set(), path)
-        trans = _matrix(obj, "trans_ctrl", path)
-        return PastOutcomeSelection(
-            p_y00=_num(obj["p_y00"], path, "p_y00"),
-            trans_ctrl=trans,
-            mean_y_treated=_numlist(obj["mean_y_treated"], 2, path, "mean_y_treated"),
-        )
-    if tag == "no_learning":
-        _expect_keys(obj, {"scenario", "types"}, set(), path)
-        types = []
-        for i, t in enumerate(_typelist(obj["types"], f"{path}/types")):
-            tp = f"{path}/types/{i}"
-            _expect_keys(t, {"prob", "mu", "beta"}, {"k0", "k1"}, tp)
-            mu = _matrix(t, "mu", tp)
-            types.append(
-                NoLearningType(
-                    prob=_num(t["prob"], tp, "prob"),
-                    mu=mu,
-                    costs=_costs(t, tp),
-                    beta=_num(t["beta"], tp, "beta"),
-                )
-            )
-        return NoLearning(types=tuple(types))
-    if tag == "treated_arm_learning":
-        _expect_keys(obj, {"scenario", "types"}, set(), path)
-        types = []
-        for i, t in enumerate(_typelist(obj["types"], f"{path}/types")):
-            tp = f"{path}/types/{i}"
-            _expect_keys(t, {"prob", "prior", "mu_ctrl", "beta"}, {"k0", "k1"}, tp)
-            types.append(
-                TreatedLearningType(
-                    prob=_num(t["prob"], tp, "prob"),
-                    prior=_prior(t["prior"], f"{tp}/prior"),
-                    mu_ctrl=_numlist(t["mu_ctrl"], 2, tp, "mu_ctrl"),
-                    costs=_costs(t, tp),
-                    beta=_num(t["beta"], tp, "beta"),
-                )
-            )
-        return TreatedArmLearning(types=tuple(types))
-    if tag == "control_arm_learning":
-        _expect_keys(obj, {"scenario", "types"}, set(), path)
-        types = []
-        for i, t in enumerate(_typelist(obj["types"], f"{path}/types")):
-            tp = f"{path}/types/{i}"
-            _expect_keys(t, {"prob", "prior", "mu_treat1", "ktilde1"}, set(), tp)
-            types.append(
-                ControlLearningType(
-                    prob=_num(t["prob"], tp, "prob"),
-                    prior=_prior(t["prior"], f"{tp}/prior"),
-                    mu_treat1=_num(t["mu_treat1"], tp, "mu_treat1"),
-                    ktilde1=_num(t["ktilde1"], tp, "ktilde1"),
-                )
-            )
-        return ControlArmLearning(types=tuple(types))
-    if tag == "roy_repeated":
-        _expect_keys(obj, {"scenario", "pmf"}, set(), path)
-        return RoyRepeated(pmf=_pmf16_json(obj["pmf"], f"{path}/pmf"))
-    if tag == "roy_irreversible":
-        _expect_keys(obj, {"scenario", "pmf", "beta"}, set(), path)
-        return RoyIrreversible(
-            pmf=_pmf16_json(obj["pmf"], f"{path}/pmf"),
-            beta=_num(obj["beta"], path, "beta"),
-        )
-    # optimal_stopping
-    _expect_keys(obj, {"scenario", "types"}, set(), path)
-    types = []
-    for i, t in enumerate(_typelist(obj["types"], f"{path}/types")):
-        tp = f"{path}/types/{i}"
-        _expect_keys(t, {"prob", "k0", "k1", "beta", "pmf"}, set(), tp)
-        raw = t["pmf"]
-        if not isinstance(raw, list) or not raw:
-            raise LabError("schema-error", "pmf must be a nonempty list of [y0, y1, prob]", f"{tp}/pmf")
-        pmf = []
-        for j, row in enumerate(raw):
-            vals = _numlist(row, 3, tp, "pmf", j)
-            pmf.append(((vals[0], vals[1]), vals[2]))
-        types.append(
-            StoppingType(
-                prob=_num(t["prob"], tp, "prob"),
-                k0=_num(t["k0"], tp, "k0"),
-                k1=_num(t["k1"], tp, "k1"),
-                beta=_num(t["beta"], tp, "beta"),
-                pmf=tuple(pmf),
-            )
-        )
-    return OptimalStopping(types=tuple(types))
-
-
-def _typelist(obj, path: str) -> list[dict]:
-    if not isinstance(obj, list) or not obj:
-        raise LabError("schema-error", "types must be a nonempty list", path)
-    for i, t in enumerate(obj):
-        if not isinstance(t, dict):
-            raise LabError("schema-error", "each type must be a JSON object", f"{path}/{i}")
-    return obj

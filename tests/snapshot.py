@@ -18,7 +18,8 @@ byte-identical leaves them equal.  The artifacts, for each config:
 The configs are the ten shipped ones, the first CORPUS_SEEDS seeds of every
 corpus family, and the two wide_support configs of perfbench/inputs.py
 (seed 0).  A few invalid configs add the validation reports of failures,
-and a few malformed ones the decoder's error code and JSON pointer.
+and malformed ones, one error each, the decoder's error code, JSON pointer
+and message.
 
 Uses only the standard library, didlab and perfbench/inputs.py; pytest does
 not collect it.
@@ -114,6 +115,19 @@ MALFORMED = {
     "inf-pmf": '{"scenario": "optimal_stopping", "types": [{"prob": 1, "k0": 0, "k1": 0, "beta": 0.9,'
     ' "pmf": [[1, 1e999, 1]]}]}',
     "huge-int": '{"scenario": "roy_repeated", "pmf": [[0, 0, 0, 0, 1' + "0" * 400 + "]]}",
+    "missing-key": '{"scenario": "control_arm_learning", "types": [{"prob": 1, "prior": [[0.5, 1]],'
+    ' "mu_treat1": 0.5}]}',
+    "unknown-key": '{"scenario": "roy_irreversible", "pmf": [[0, 0, 0, 0, 1]], "beta": 0.9, "gamma": 1}',
+    "empty-types": '{"scenario": "treated_arm_learning", "types": []}',
+    "non-object-type": '{"scenario": "optimal_stopping", "types": [{"prob": 1, "k0": 0, "k1": 0, "beta": 0.9,'
+    ' "pmf": [[1, 1, 1]]}, [1]]}',
+    "prior-pair-length": '{"scenario": "control_arm_learning", "types": [{"prob": 1, "prior": [[0.5, 0.5, 1]],'
+    ' "mu_treat1": 0.5, "ktilde1": 0}]}',
+    "non-binary-pmf16": '{"scenario": "roy_repeated", "pmf": [[0, 0, 2, 0, 1]]}',
+    "trans-ctrl-1x2": '{"scenario": "past_outcome_selection", "p_y00": 0.5, "trans_ctrl": [[0.5, 0.5]],'
+    ' "mean_y_treated": [0.5, 0.5]}',
+    "k0-three-entries": '{"scenario": "no_learning", "types": [{"prob": 1, "mu": [[0.5, 0.5], [0.5, 0.5]],'
+    ' "k0": [0, 0, 0], "beta": 0.9}]}',
 }
 
 

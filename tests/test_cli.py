@@ -30,19 +30,18 @@ def test_scenarios_catalog(capsys):
     code, out, _ = run(capsys, "scenarios")
     assert code == 0
     lines = out.splitlines()
-    assert len(lines) == 7
-    tags = {l.split()[0] for l in lines}
-    assert tags == {
-        "past_outcome_selection",
-        "no_learning",
-        "treated_arm_learning",
-        "control_arm_learning",
-        "roy_repeated",
-        "roy_irreversible",
-        "optimal_stopping",
-    }
-    roy_line = next(l for l in lines if l.startswith("roy_repeated"))
-    assert "roy_repeated" in roy_line.split("shipped:")[1]
+    assert lines == [
+        "past_outcome_selection   treatment tracks the previous untreated outcome; shipped: selection_on_past",
+        "no_learning              forward-looking types whose arm means are known up front; shipped: known_means",
+        "treated_arm_learning     beliefs update only about the treated arm; shipped: treated_arm_learning",
+        "control_arm_learning     untreated outcomes reveal the risky arm's quality;"
+        " shipped: control_arm_learning, learner_bounds",
+        "roy_repeated             each period takes whichever arm pays more that period; shipped: roy_repeated",
+        "roy_irreversible         outcome comparison with treatment lock-in; shipped: roy_irreversible",
+        "optimal_stopping         continue or stop on the expected continuation value;"
+        " shipped: stopping_uninformative, stopping_informative, stationary_scale",
+    ]
+    assert [line.split()[0] for line in lines] == list(scenarios.SCENARIO_CLASSES)
 
 
 def test_every_shipped_name_appears(capsys):
@@ -395,6 +394,24 @@ def test_experiment_summary_survives_huge_outcomes(capsys, tmp_path):
         for key in ("sd", "rmse", "lower_sd", "upper_sd"):
             if key in agg:
                 assert math.isfinite(agg[key]) and agg[key] > 0.0, (est_id, key)
+
+
+@pytest.mark.parametrize("command", ["truth", "experiment"])
+def test_overflowing_oracle_values_exit_2(capsys, tmp_path, command):
+    """Outcomes near the float limit make y1 - y0 overflow in the oracle: the
+    command names the first non-finite entry and writes no summary."""
+    path = tmp_path / "overflow.json"
+    pmf = [[1e308, -1e308, 0.5], [-1e308, 1e308, 0.5]]
+    path.write_text(json.dumps(
+        {"scenario": "optimal_stopping", "types": [{"prob": 1, "k0": -1, "k1": -1, "beta": 0.5, "pmf": pmf}]}
+    ))
+    assert run(capsys, "validate", str(path))[0] == 0
+    out_dir = tmp_path / "exp"
+    argv = ["--n", "50", "--reps", "3", "--out", str(out_dir)] if command == "experiment" else []
+    code, out, err = run(capsys, command, str(path), *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("[non-finite] ") and err.endswith(" (at /cells/00/trend_mean)\n")
+    assert not (out_dir / "summary.json").exists()
 
 
 def test_experiment_reruns_byte_identical(capsys, tmp_path):

@@ -403,9 +403,21 @@ def test_counts_match_the_draw_by_draw_reference(prob, n, seed, chunk):
 
 
 def test_shipped_configs_round_trip(shipped):
-    for name, cfg in shipped.items():
+    """decode(encode(cfg)) == cfg on every shipped config, 300 random ones
+    and both wide ones; and a shipped text, with the optional k0/k1 costs
+    filled in at their defaults, is its config's to_json() as a dict."""
+    cases = [*shipped.items(), *((f"random:{s}", corpus.random_config(s)) for s in range(300))]
+    cases += [("wide", _wide_config(0)), ("wide_treated", _wide_treated_config(0))]
+    for label, cfg in cases:
         back = scenario_from_json(json.loads(json.dumps(cfg.to_json())))
-        assert back == cfg, name
+        assert back == cfg, label
+    for name, cfg in shipped.items():
+        doc = json.loads(corpus.shipped_text(name))
+        if doc["scenario"] in ("no_learning", "treated_arm_learning"):
+            for ty in doc["types"]:
+                ty.setdefault("k0", [0.0, 0.0])
+                ty.setdefault("k1", [[0.0, 0.0], [0.0, 0.0]])
+        assert doc == cfg.to_json(), name
 
 
 def test_unknown_scenario_tag():
@@ -488,6 +500,48 @@ def test_decoder_errors_keep_their_code_and_pointer(site, number):
         scenario_from_json(json.loads(json.dumps(doc).replace('"@"', literal)))
     assert (err.value.code, err.value.path) == ("schema-error", pointer)
     assert message in str(err.value)
+
+
+# Each scenario with every field set to "x", and the first error the decoder
+# raises: the pointer and message of the field it decodes first.
+_ALL_FIELDS_BAD = {
+    "past_outcome_selection": (
+        {"p_y00": "x", "trans_ctrl": "x", "mean_y_treated": "x"},
+        "/trans_ctrl",
+        "trans_ctrl must be a 2x2 matrix",
+    ),
+    "no_learning": (
+        {"types": [{"prob": "x", "mu": "x", "k0": "x", "k1": "x", "beta": "x"}]},
+        "/types/0/mu",
+        "mu must be a 2x2 matrix",
+    ),
+    "treated_arm_learning": (
+        {"types": [{"prob": "x", "prior": "x", "mu_ctrl": "x", "k0": "x", "k1": "x", "beta": "x"}]},
+        "/types/0/prob",
+        "expected a number, got str",
+    ),
+    "control_arm_learning": (
+        {"types": [{"prob": "x", "prior": "x", "mu_treat1": "x", "ktilde1": "x"}]},
+        "/types/0/prob",
+        "expected a number, got str",
+    ),
+    "roy_repeated": ({"pmf": "x"}, "/pmf", "pmf must be a nonempty list of [y00,y01,y10,y11,prob]"),
+    "roy_irreversible": ({"beta": "x", "pmf": "x"}, "/pmf", "pmf must be a nonempty list of [y00,y01,y10,y11,prob]"),
+    "optimal_stopping": (
+        {"types": [{"prob": "x", "k0": "x", "k1": "x", "beta": "x", "pmf": "x"}]},
+        "/types/0/pmf",
+        "pmf must be a nonempty list of [y0, y1, prob]",
+    ),
+}
+
+
+@pytest.mark.parametrize("tag", sorted(_ALL_FIELDS_BAD))
+def test_decoder_reports_the_first_field_in_decode_order(tag):
+    fields, pointer, message = _ALL_FIELDS_BAD[tag]
+    with pytest.raises(LabError) as err:
+        scenario_from_json({"scenario": tag, **fields})
+    assert (err.value.code, err.value.path) == ("schema-error", pointer)
+    assert str(err.value) == f"[schema-error] {message} (at {pointer})"
 
 
 def test_decoder_returns_json_floats_unchanged():

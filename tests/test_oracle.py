@@ -137,6 +137,15 @@ def test_classify_learners_wrong_scenario(shipped):
 # --- stopping residual ----------------------------------------------------------
 
 
+def test_stopping_residual_wrong_scenario(shipped):
+    with pytest.raises(LabError) as err:
+        stopping_residual(shipped["control_arm_learning"])
+    assert (err.value.code, str(err.value)) == (
+        "wrong-scenario",
+        "[wrong-scenario] the stopping residual needs an optimal_stopping config, got control_arm_learning",
+    )
+
+
 def test_stopping_residual_matches_brute():
     for seed in range(12):
         for pt in (True, False):
