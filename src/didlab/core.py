@@ -245,6 +245,25 @@ class CellTable:
         return out
 
 
+class _CellMoments:
+    """counts[c], the number of rows on treatment path c = 2*d0 + d1, and
+    sums[c], each column's sum over those rows (None when there are none).
+    A stable sort keeps each path's rows in row order, and each sum reduces a
+    contiguous row of a C-ordered table pairwise: the bits of np.sum over a
+    mask of the path.  (A row-strided table would sum sequentially.)"""
+
+    __slots__ = ("counts", "sums")
+
+    def __init__(self, d0: np.ndarray, d1: np.ndarray, columns):
+        cell = 2 * d0 + d1
+        self.counts = np.bincount(cell, minlength=4).tolist()
+        table = np.array(columns).take(np.argsort(cell, kind="stable"), axis=1)  # stays C-ordered
+        ends = np.cumsum(self.counts).tolist()
+        self.sums = [
+            np.add.reduce(table[:, e - c : e], axis=1).tolist() if c else None for c, e in zip(self.counts, ends)
+        ]
+
+
 @dataclass(frozen=True)
 class BoundsInterval:
     lower: float

@@ -12,9 +12,7 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass
 from typing import Union
 
-import numpy as np
-
-from .core import CELLS, CellStats, CellTable, JointDistribution, Panel
+from .core import CELLS, CellStats, CellTable, JointDistribution, Panel, _CellMoments
 from .errors import LabError
 from .estimators import ObservedCells
 
@@ -38,21 +36,12 @@ def empirical_cell_table(panel: Panel) -> CellTable:
             "latent-required",
             "empirical cell table needs latent potential outcomes; draw the panel with them attached",
         )
-    n = panel.n
-    y00 = panel.po[:, 0]
-    y10 = panel.po[:, 2]
+    y00, y10 = panel.po[:, 0], panel.po[:, 2]
+    moments = _CellMoments(panel.d0, panel.d1, (y10 - y00, y00, y10))
     cells: dict[tuple[int, int], CellStats] = {}
-    for d0, d1 in CELLS:
-        mask = (panel.d0 == d0) & (panel.d1 == d1)
-        count = int(np.sum(mask))
-        if count == 0:
-            continue
-        cells[(d0, d1)] = CellStats(
-            prob=count / n,
-            trend_mean=float(np.mean(y10[mask] - y00[mask])),
-            level_y0=float(np.mean(y00[mask])),
-            level_y1=float(np.mean(y10[mask])),
-        )
+    for cell, count, sums in zip(CELLS, moments.counts, moments.sums):
+        if count:  # a sum over its count has np.mean's bits
+            cells[cell] = CellStats(count / panel.n, *(s / count for s in sums))
     return CellTable(cells, source="empirical-latent")
 
 

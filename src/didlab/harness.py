@@ -25,7 +25,7 @@ from ._rng import derive_seed
 from .core import BoundsInterval, CELLS, JointDistribution, Panel, validate_scenario
 from .errors import LabError
 from .estimators import ALL_ESTIMATORS, ESTIMATORS, ObservedCells
-from .oracle import _check_conditions, cell_table, pt_deviation, true_att_switchers
+from .oracle import _cell_table, _check_conditions, _moments, _true_att_switchers
 from .scenarios import AtomSampler, ScenarioConfig, build_joint, scenario_from_json
 
 __all__ = [
@@ -54,19 +54,6 @@ class ExperimentConfig:
     estimators: tuple[str, ...] = ALL_ESTIMATORS
     outputs: Optional[str] = None
     emit_latent: bool = False
-
-    def to_json(self) -> dict:
-        out = {
-            "scenario": self.scenario.to_json(),
-            "n": self.n,
-            "replications": self.replications,
-            "seed": self.seed,
-            "estimators": list(self.estimators),
-            "emit_latent": self.emit_latent,
-        }
-        if self.outputs is not None:
-            out["outputs"] = self.outputs
-        return out
 
 
 # Bounds of the integer settings, for a config file and the CLI's overrides
@@ -177,19 +164,24 @@ def oracle_block(config: ScenarioConfig, estimator_ids=ALL_ESTIMATORS) -> dict:
 
 
 def _oracle_block(config: ScenarioConfig, joint: JointDistribution, estimator_ids) -> dict:
-    table = cell_table(joint)
+    # overflowing outcomes give inf or nan sums, which the check at the end
+    # names by their pointer: numpy's warnings about them would be noise
+    with np.errstate(over="ignore", invalid="ignore"):
+        moments = _moments(joint)
+        table = _cell_table(moments)
+        cells = ObservedCells(joint)
+        conditions = _check_conditions(config, joint, table, cells)
     block: dict = {
         "scenario_id": config.scenario_id,
         "cells": table.to_json(),
-        "pt_deviation": pt_deviation(table),
-        "conditions": _check_conditions(config, joint, table).to_json(),
+        "pt_deviation": conditions.pt_deviation,
+        "conditions": conditions.to_json(),
     }
     try:
-        block["true_att_switchers"] = true_att_switchers(joint)
+        block["true_att_switchers"] = _true_att_switchers(moments)
     except LabError as e:
         block["true_att_switchers"] = None
         block["true_att_switchers_error"] = e.code
-    cells = ObservedCells(joint)
     plugin: dict = {}
     for est_id in estimator_ids:
         try:

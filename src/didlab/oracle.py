@@ -12,15 +12,10 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .core import (
-    CELLS,
-    Atom,
-    CellStats,
-    CellTable,
-    JointDistribution,
-)
+from .core import CELLS, Atom, CellStats, CellTable, JointDistribution, _CellMoments
 from .diagnostics import observable_pt_probe
 from .errors import LabError
+from .estimators import ObservedCells
 from .scenarios import LearnerClassification, ScenarioConfig
 
 __all__ = [
@@ -53,25 +48,26 @@ def conditional_mean(
     return num / den
 
 
+def _moments(joint: JointDistribution) -> _CellMoments:
+    """Per-path sums of p, p*(y10 - y00), p*y00, p*y10 and p*(y11 - y10): all
+    the cell table and the switcher effect read of the joint."""
+    arr = joint.arrays()
+    p, y00, y10 = arr["prob"], arr["y00"], arr["y10"]
+    return _CellMoments(arr["d0"], arr["d1"], (p, p * (y10 - y00), p * y00, p * y10, p * (arr["y11"] - y10)))
+
+
 def cell_table(joint: JointDistribution) -> CellTable:
     """Probability, untreated-trend mean, and untreated-level means per
     realized treatment sequence.  Empty cells are omitted."""
-    arr = joint.arrays()
+    return _cell_table(_moments(joint))
+
+
+def _cell_table(moments: _CellMoments) -> CellTable:
     cells: dict[tuple[int, int], CellStats] = {}
-    for d0, d1 in CELLS:
-        mask = (arr["d0"] == d0) & (arr["d1"] == d1)
-        p = float(np.sum(arr["prob"][mask]))
-        if p <= 0.0:
-            continue
-        w = arr["prob"][mask]
-        y00 = arr["y00"][mask]
-        y10 = arr["y10"][mask]
-        cells[(d0, d1)] = CellStats(
-            prob=p,
-            trend_mean=float(np.sum(w * (y10 - y00))) / p,
-            level_y0=float(np.sum(w * y00)) / p,
-            level_y1=float(np.sum(w * y10)) / p,
-        )
+    for cell, sums in zip(CELLS, moments.sums):
+        if sums is not None and sums[0] > 0.0:
+            p, trend, level_y0, level_y1, _ = sums
+            cells[cell] = CellStats(prob=p, trend_mean=trend / p, level_y0=level_y0 / p, level_y1=level_y1 / p)
     return CellTable(cells, source="oracle")
 
 
@@ -86,13 +82,14 @@ def pt_deviation(table: CellTable) -> float:
 
 def true_att_switchers(joint: JointDistribution) -> float:
     """E[Y1(1) - Y1(0) | D0 < D1], computed from latent counterfactuals."""
-    arr = joint.arrays()
-    mask = arr["d0"] < arr["d1"]
-    den = float(np.sum(arr["prob"][mask]))
-    if den <= 0.0:
+    return _true_att_switchers(_moments(joint))
+
+
+def _true_att_switchers(moments: _CellMoments) -> float:
+    sums = moments.sums[1]  # D0 < D1 is the path (0, 1)
+    if sums is None or sums[0] <= 0.0:
         raise LabError("empty-event", "no switchers into treatment")
-    num = float(np.sum(arr["prob"][mask] * (arr["y11"][mask] - arr["y10"][mask])))
-    return num / den
+    return sums[4] / sums[0]
 
 
 def _expect_scenario(config, tag: str, need: str) -> None:
@@ -148,11 +145,13 @@ def stopping_residual(config) -> float:
 def check_conditions(config: ScenarioConfig, joint: JointDistribution) -> ConditionReport:
     """Evaluate, exactly, the iff-condition for parallel trends that applies
     to the scenario, alongside the measured deviation it characterizes."""
-    return _check_conditions(config, joint, cell_table(joint))
+    return _check_conditions(config, joint, cell_table(joint), ObservedCells(joint))
 
 
-def _check_conditions(config: ScenarioConfig, joint: JointDistribution, table: CellTable) -> ConditionReport:
-    """check_conditions, given the joint's cell table."""
+def _check_conditions(
+    config: ScenarioConfig, joint: JointDistribution, table: CellTable, observed: ObservedCells
+) -> ConditionReport:
+    """check_conditions, given the joint's cell table and observed cells."""
     if joint.scenario_id and joint.scenario_id != config.scenario_id:
         raise LabError(
             "wrong-scenario",
@@ -167,7 +166,7 @@ def _check_conditions(config: ScenarioConfig, joint: JointDistribution, table: C
         **config.conditions(arr, gap),
     )
     try:
-        report.observable_gap = observable_pt_probe(joint)
+        report.observable_gap = observable_pt_probe(observed)
     except LabError:
         pass  # one of the period-0 untreated cells is empty: no gap to report
     return report

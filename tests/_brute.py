@@ -3,7 +3,9 @@
 Everything here is written with plain dict/loops on the joint's atoms, on
 purpose: these must not share code paths (or numpy reductions) with the
 oracle module they check.  brute_joint enumerates a scenario's latent grid
-point by point, apart from the library's per-type numpy blocks.
+point by point, apart from the library's per-type numpy blocks.  The
+exceptions are the old implementations kept as bit references
+(brute_read_panel and the masked_* cell sums at the end).
 """
 
 from bisect import bisect_right
@@ -13,7 +15,7 @@ from itertools import product
 import numpy as np
 
 from didlab._rng import uniform_at
-from didlab.core import LatentState, Panel, PotentialOutcomes
+from didlab.core import CELLS, CellStats, LatentState, Panel, PotentialOutcomes
 from didlab.errors import LabError
 from didlab.harness import PANEL_HEADER, PANEL_HEADER_LATENT
 
@@ -371,3 +373,64 @@ def brute_read_panel(path):
         raise LabError("schema-error", "d0/d1 columns must be 0 or 1", str(path))
     po = mat[:, 5:9] if latent else None
     return Panel(d0=mat[:, 1].astype(np.int8), d1=mat[:, 2].astype(np.int8), y0=mat[:, 3], y1=mat[:, 4], po=po)
+
+
+# The oracle's per-cell sums as they were before the one-sort grouping: one
+# masked pass per cell.  Unlike the references above, these share np.sum's
+# pairwise reduction with the library on purpose: they are the bit
+# references the grouped sums must match exactly, not to 1e-12.
+
+
+def masked_cell_table(joint):
+    """{(d0, d1): CellStats} of the joint's nonempty cells, one masked np.sum
+    per cell and moment."""
+    arr = joint.arrays()
+    cells = {}
+    for d0, d1 in CELLS:
+        mask = (arr["d0"] == d0) & (arr["d1"] == d1)
+        p = float(np.sum(arr["prob"][mask]))
+        if p <= 0.0:
+            continue
+        w = arr["prob"][mask]
+        y00 = arr["y00"][mask]
+        y10 = arr["y10"][mask]
+        cells[(d0, d1)] = CellStats(
+            prob=p,
+            trend_mean=float(np.sum(w * (y10 - y00))) / p,
+            level_y0=float(np.sum(w * y00)) / p,
+            level_y1=float(np.sum(w * y10)) / p,
+        )
+    return cells
+
+
+def masked_att_switchers(joint):
+    """E[Y1(1) - Y1(0) | D0 < D1] by one masked pass; LabError empty-event
+    when no switcher has mass."""
+    arr = joint.arrays()
+    mask = arr["d0"] < arr["d1"]
+    den = float(np.sum(arr["prob"][mask]))
+    if den <= 0.0:
+        raise LabError("empty-event", "no switchers into treatment")
+    num = float(np.sum(arr["prob"][mask] * (arr["y11"][mask] - arr["y10"][mask])))
+    return num / den
+
+
+def masked_empirical_cell_table(panel):
+    """{(d0, d1): CellStats} of a latent panel's nonempty cells: shares and
+    np.mean over a mask of each cell."""
+    n = panel.n
+    y00 = panel.po[:, 0]
+    y10 = panel.po[:, 2]
+    cells = {}
+    for d0, d1 in CELLS:
+        mask = (panel.d0 == d0) & (panel.d1 == d1)
+        count = int(np.sum(mask))
+        if count == 0:
+            continue
+        cells[(d0, d1)] = CellStats(
+            prob=count / n,
+            trend_mean=float(np.mean(y10[mask] - y00[mask])),
+            level_y0=float(np.mean(y00[mask])),
+            level_y1=float(np.mean(y10[mask])),
+        )
+    return cells

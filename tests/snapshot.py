@@ -14,6 +14,9 @@ byte-identical leaves them equal.  The artifacts, for each config:
   experiment+/  the same at --n 2000 --reps 20 --seed 5 --emit-latent
   readback/     read_panel_csv's columns (dtypes, shapes and bytes) on
                 experiment+'s panel.csv
+  empirical/    the JSON of empirical_cell_table, partial_pt,
+                selection_stationarity and observable_pt_probe on that
+                panel (floats as repr, so equal text means equal bits)
 
 The configs are the ten shipped ones, the first CORPUS_SEEDS seeds of every
 corpus family, and the two wide_support configs of perfbench/inputs.py
@@ -41,6 +44,12 @@ sys.path.insert(0, str(ROOT / "perfbench"))
 import inputs  # noqa: E402  (perfbench/inputs.py, stdlib only)
 
 from didlab import cli, corpus  # noqa: E402
+from didlab.diagnostics import (  # noqa: E402
+    empirical_cell_table,
+    observable_pt_probe,
+    partial_pt,
+    selection_stationarity,
+)
 from didlab.errors import LabError  # noqa: E402
 from didlab.harness import parse_config, read_panel_csv  # noqa: E402
 from didlab.scenarios import build_joint  # noqa: E402
@@ -154,6 +163,23 @@ def _readback_bytes(path: Path) -> bytes:
     return b"".join(arr.dtype.str.encode() + str(arr.shape).encode() + arr.tobytes() for arr in columns)
 
 
+def _empirical_bytes(path: Path) -> bytes:
+    panel = read_panel_csv(path)
+    doc: dict = {}
+    try:
+        table = empirical_cell_table(panel)
+        doc["cells"] = table.to_json()
+        doc["partial_pt"] = partial_pt(table).to_json()
+        doc["selection_stationarity"] = selection_stationarity(table).to_json()
+    except (LabError, ValueError) as e:
+        doc["error"] = repr(e)
+    try:
+        doc["observable_pt_probe"] = observable_pt_probe(panel)
+    except LabError as e:
+        doc["observable_pt_probe"] = e.code
+    return json.dumps(doc, sort_keys=True).encode()
+
+
 def _configs() -> dict[str, str]:
     texts = {f"shipped:{name}": corpus.shipped_text(name) for name in corpus.shipped_names()}
     seeds = corpus.seed_corpus()
@@ -186,6 +212,7 @@ def snapshot() -> list[str]:
                     lines.append(f"{tag}/{label}/{f.name} {code} {_sha(f.read_bytes())}")
             panel = tmp / "experiment+" / label.replace(":", "_") / "panel.csv"
             lines.append(f"readback/{label} {_sha(_readback_bytes(panel))}")
+            lines.append(f"empirical/{label} {_sha(_empirical_bytes(panel))}")
         for label, obj in INVALID.items():
             path = tmp / "invalid.json"
             path.write_text(json.dumps(obj), encoding="utf-8")

@@ -4,6 +4,7 @@ import io
 import json
 import math
 import tracemalloc
+import warnings
 
 import pytest
 
@@ -399,7 +400,8 @@ def test_experiment_summary_survives_huge_outcomes(capsys, tmp_path):
 @pytest.mark.parametrize("command", ["truth", "experiment"])
 def test_overflowing_oracle_values_exit_2(capsys, tmp_path, command):
     """Outcomes near the float limit make y1 - y0 overflow in the oracle: the
-    command names the first non-finite entry and writes no summary."""
+    command names the first non-finite entry and writes no summary, and
+    numpy prints no warning about the overflow before it."""
     path = tmp_path / "overflow.json"
     pmf = [[1e308, -1e308, 0.5], [-1e308, 1e308, 0.5]]
     path.write_text(json.dumps(
@@ -408,9 +410,12 @@ def test_overflowing_oracle_values_exit_2(capsys, tmp_path, command):
     assert run(capsys, "validate", str(path))[0] == 0
     out_dir = tmp_path / "exp"
     argv = ["--n", "50", "--reps", "3", "--out", str(out_dir)] if command == "experiment" else []
-    code, out, err = run(capsys, command, str(path), *argv)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run(capsys, command, str(path), *argv)
+    assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
     assert code == 2 and out == ""
-    assert err.startswith("[non-finite] ") and err.endswith(" (at /cells/00/trend_mean)\n")
+    assert err == "[non-finite] an exact population quantity overflows the float range (at /cells/00/trend_mean)\n"
     assert not (out_dir / "summary.json").exists()
 
 

@@ -7,10 +7,10 @@ import warnings
 import numpy as np
 import pytest
 
-from didlab import harness, scenarios
+from didlab import core, harness, scenarios
 from didlab.corpus import shipped_text
 from didlab.errors import LabError
-from didlab.estimators import ALL_ESTIMATORS
+from didlab.estimators import ALL_ESTIMATORS, ObservedCells
 from didlab.harness import (
     ExperimentConfig,
     oracle_block,
@@ -243,6 +243,35 @@ def test_run_experiment_builds_joint_once_and_one_table_per_panel(monkeypatch):
     for rep_joint, counts in per_rep:
         assert rep_joint is joint
         assert counts.dtype == np.int64 and counts.sum() == cfg.n
+
+
+def test_one_observed_table_and_one_grouping_per_oracle_block(monkeypatch, shipped):
+    """oracle_block, and the oracle inside run_experiment, group the joint's
+    atoms by treatment path once and build the joint's observed cells once:
+    the cell table, the switcher effect, the plug-ins and the observable
+    probe all read those two.  Replication tables (built from atom counts)
+    are not counted."""
+    calls = {"grouped": 0, "observed": 0}
+    init_moments, init_observed = core._CellMoments.__init__, ObservedCells.__init__
+
+    def grouped(self, *args):
+        calls["grouped"] += 1
+        init_moments(self, *args)
+
+    def observed(self, data, counts=None):
+        if isinstance(data, core.JointDistribution) and counts is None:
+            calls["observed"] += 1
+        init_observed(self, data, counts)
+
+    monkeypatch.setattr(core._CellMoments, "__init__", grouped)
+    monkeypatch.setattr(ObservedCells, "__init__", observed)
+    for name, scenario in shipped.items():
+        calls.update(grouped=0, observed=0)
+        oracle_block(scenario)
+        assert calls == {"grouped": 1, "observed": 1}, name
+        calls.update(grouped=0, observed=0)
+        run_experiment(ExperimentConfig(scenario, n=100, replications=2))
+        assert calls == {"grouped": 1, "observed": 1}, name
 
 
 def test_run_experiment_builds_no_panel(monkeypatch):

@@ -1,8 +1,13 @@
 """Exact population quantities, cross-checked against brute enumeration."""
 
+import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from didlab.core import CellTable, JointDistribution, Panel
 from didlab.corpus import random_config, random_control_learning, random_stopping
+from didlab.diagnostics import empirical_cell_table
 from didlab.errors import LabError
 from didlab.oracle import (
     cell_table,
@@ -20,7 +25,11 @@ from _brute import (
     brute_cells,
     brute_pt_deviation,
     brute_stopping_residual,
+    masked_att_switchers,
+    masked_cell_table,
+    masked_empirical_cell_table,
 )
+from test_joint import _CORPUS_FAMILIES, _wide_config, _wide_treated_config
 
 TOL = 1e-12
 
@@ -37,6 +46,76 @@ def test_cell_table_matches_brute_on_varied_configs():
             assert st.level_y0 == pytest.approx(ref[cell]["level_y0"], abs=TOL)
             assert st.level_y1 == pytest.approx(ref[cell]["level_y1"], abs=TOL)
         assert pt_deviation(table) == pytest.approx(brute_pt_deviation(joint), abs=TOL)
+
+
+def _bits(cells):
+    """{cell: CellStats} as the bits of each field, so that 0.0 and -0.0 differ."""
+    return {cell: tuple(v.hex() for v in vars(stats).values()) for cell, stats in cells.items()}
+
+
+def _switchers_or_code(fn, joint):
+    try:
+        return fn(joint).hex()
+    except LabError as e:
+        return e.code
+
+
+def _assert_bit_equal(joint, label):
+    table = cell_table(joint)
+    ref = masked_cell_table(joint)
+    assert _bits(table.cells) == _bits(ref), label
+    # so "pt_deviation is exactly 0" reads the same at both
+    assert pt_deviation(table).hex() == pt_deviation(CellTable(ref)).hex(), label
+    assert _switchers_or_code(true_att_switchers, joint) == _switchers_or_code(masked_att_switchers, joint), label
+
+
+def test_grouped_cell_sums_are_the_masked_sums_bit_for_bit(shipped_joints, seeds):
+    """The one-sort cell table and switcher effect give the bits of one
+    masked np.sum per cell, on every shipped config, random_config seeds
+    0-299, the first 100 seeds of each corpus family and both wide configs."""
+    cases = list(shipped_joints.items())
+    cases += [(f"random:{seed}", build_joint(random_config(seed))) for seed in range(300)]
+    cases += [
+        (f"{key}:{seed}", build_joint(make(seed))) for key, make in _CORPUS_FAMILIES.items() for seed in seeds[key][:100]
+    ]
+    cases += [("wide", build_joint(_wide_config(0))), ("wide_treated", build_joint(_wide_treated_config(0)))]
+    for label, joint in cases:
+        _assert_bit_equal(joint, label)
+
+
+@st.composite
+def _grouped_rows(draw):
+    """(cell, values, rng): cell indices 2*d0 + d1 in a shuffled row order,
+    each cell holding 0, 1, 7, 8, 9 or up to 400 rows (np.sum turns
+    pairwise at 8 values), and an rng for the values."""
+    sizes = [draw(st.sampled_from((0, 1, 7, 8, 9)) | st.integers(0, 400)) for _ in range(4)]
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    cell = rng.permutation(np.repeat(np.arange(4, dtype=np.int8), sizes))
+    scale = 10.0 ** rng.integers(-3, 4, size=(len(cell), 1))
+    values = rng.standard_normal((len(cell), 4)) * scale
+    if draw(st.booleans()):  # values on a coarse grid: equal trends, exact zeros
+        values = np.round(values, 1)
+    return cell, values, rng
+
+
+@given(_grouped_rows())
+@settings(max_examples=80, deadline=None)
+def test_grouped_cell_sums_match_masked_sums_on_random_joints(rows):
+    cell, po, rng = rows
+    assume(len(cell))
+    w = rng.random(len(cell)) * (rng.random(len(cell)) < 0.9)  # some zero-mass atoms
+    if not w.any():
+        w[0] = 1.0
+    _assert_bit_equal(JointDistribution(np.zeros(len(cell)), po, cell >> 1, cell & 1, w / np.sum(w)), "random joint")
+
+
+@given(_grouped_rows())
+@settings(max_examples=80, deadline=None)
+def test_empirical_cell_table_matches_masked_means(rows):
+    cell, po, _ = rows
+    assume(len(cell))
+    panel = Panel(cell >> 1, cell & 1, po[:, 0], po[:, 2], po=po)
+    assert _bits(empirical_cell_table(panel).cells) == _bits(masked_empirical_cell_table(panel))
 
 
 def test_true_att_matches_brute(shipped_joints):
