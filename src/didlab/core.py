@@ -264,6 +264,25 @@ class _CellMoments:
         ]
 
 
+def _check_finite(obj: dict) -> None:
+    """Raise non-finite at the JSON pointer of the first non-finite float in
+    obj, nested dicts of exact population quantities, in insertion order."""
+    bad = _first_non_finite(obj)
+    if bad is not None:
+        raise LabError("non-finite", "an exact population quantity overflows the float range", bad)
+
+
+def _first_non_finite(obj: dict, path: str = "") -> Optional[str]:
+    for key, value in obj.items():
+        if isinstance(value, dict):
+            bad = _first_non_finite(value, f"{path}/{key}")
+            if bad is not None:
+                return bad
+        elif isinstance(value, float) and not math.isfinite(value):
+            return f"{path}/{key}"
+    return None
+
+
 @dataclass(frozen=True)
 class BoundsInterval:
     lower: float
@@ -292,6 +311,10 @@ class ValidationReport:
     def warn(self, message: str) -> None:
         self.warnings.append(message)
 
+    def copy(self) -> "ValidationReport":
+        """A report with the same entries whose lists are its own."""
+        return ValidationReport(list(self.violations), list(self.warnings))
+
     def to_json(self) -> dict:
         return {
             "ok": self.ok,
@@ -307,11 +330,14 @@ def validate_scenario(config) -> ValidationReport:
     """Structural and semantic checks for a scenario config.
 
     All failures are reported in the ValidationReport; nothing raises.  The
-    checks are pure, so the same config always yields an identical report.
+    checks are pure and a config is frozen, so a scenario config's report is
+    computed once per config object, on the first call, and every call
+    returns a copy of it: a caller may edit its report without changing the
+    next one.
     """
-    validate = getattr(config, "validate", None)
-    if validate is None:
+    report = getattr(config, "_validation", None)
+    if report is None:
         report = ValidationReport()
         report.add("not-a-scenario", f"object of type {type(config).__name__} is not a scenario config")
         return report
-    return validate()
+    return report.copy()

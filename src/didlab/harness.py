@@ -22,7 +22,7 @@ import numpy as np
 
 from . import _jsonio
 from ._rng import derive_seed
-from .core import BoundsInterval, CELLS, JointDistribution, Panel, validate_scenario
+from .core import BoundsInterval, CELLS, JointDistribution, Panel, _check_finite, validate_scenario
 from .errors import LabError
 from .estimators import ALL_ESTIMATORS, ESTIMATORS, ObservedCells
 from .oracle import _cell_table, _check_conditions, _moments, _true_att_switchers
@@ -194,23 +194,8 @@ def _oracle_block(config: ScenarioConfig, joint: JointDistribution, estimator_id
         else:
             plugin[est_id] = rpt.value
     block["plugin"] = plugin
-    bad = _first_non_finite(block)
-    if bad is not None:
-        raise LabError("non-finite", "an exact population quantity overflows the float range", bad)
+    _check_finite(block)
     return block
-
-
-def _first_non_finite(obj: dict, path: str = "") -> Optional[str]:
-    """The JSON pointer of the first non-finite float in the nested dicts
-    obj, in insertion order, or None when every float in them is finite."""
-    for key, value in obj.items():
-        if isinstance(value, dict):
-            bad = _first_non_finite(value, f"{path}/{key}")
-            if bad is not None:
-                return bad
-        elif isinstance(value, float) and not math.isfinite(value):
-            return f"{path}/{key}"
-    return None
 
 
 def _replicate(sampler: AtomSampler, cfg: ExperimentConfig, r: int):
@@ -339,10 +324,10 @@ def _panel_header(emit_latent: bool) -> str:
     return ",".join(PANEL_HEADER_LATENT if emit_latent else PANEL_HEADER)
 
 
-def _panel_rows(panel: Panel, emit_latent: bool, start: int = 0):
-    """Yield the panel.csv rows of panel, its units numbered from start."""
+def _panel_rows(panel: Panel, emit_latent: bool):
+    """Yield the panel.csv rows of panel."""
     for i in range(panel.n):
-        cells = [str(start + i), str(int(panel.d0[i])), str(int(panel.d1[i])), _fmt(panel.y0[i]), _fmt(panel.y1[i])]
+        cells = [str(i), str(int(panel.d0[i])), str(int(panel.d1[i])), _fmt(panel.y0[i]), _fmt(panel.y1[i])]
         if emit_latent:
             cells.extend(_fmt(panel.po[i, j]) for j in range(4))
         yield ",".join(cells)
@@ -361,10 +346,21 @@ def sampled_panel_csv(sampler: AtomSampler, n: int, seed: int, emit_latent: bool
     """Yield the text of panel.csv for the n draws of stream seed, header
     first, then one newline-terminated block per sampler chunk.  The bytes
     equal those of panel_csv_lines(sampler.panel(n, seed), emit_latent), and
-    memory stays O(COUNT_CHUNK + atoms) at any n."""
+    memory stays O(COUNT_CHUNK + atoms drawn) at any n.
+
+    A row is its unit id followed by text its atom fixes, so each drawn
+    atom's text is formatted once, when it is first drawn."""
     yield _panel_header(emit_latent) + "\n"
-    for start, chunk in sampler.panel_chunks(n, seed):
-        yield "\n".join(_panel_rows(chunk, emit_latent, start)) + "\n"
+    joint = sampler.joint
+    texts: dict[int, str] = {}
+    for start, idx in sampler.index_chunks(n, seed):
+        idx = idx.tolist()
+        new = list(set(idx).difference(texts))
+        floats = [joint.y0[new], joint.y1[new], *(joint.po[new].T if emit_latent else ())]
+        for a, d0, d1, *ys in zip(new, joint.d0[new].tolist(), joint.d1[new].tolist(), *(f.tolist() for f in floats)):
+            # _fmt's text of a float, without its per-value type checks
+            texts[a] = ",".join([str(d0), str(d1), *map(_jsonio.format_float, ys)])
+        yield "".join([f"{unit},{texts[a]}\n" for unit, a in enumerate(idx, start)])
 
 
 def write_outputs(report: SummaryReport, panels, out_dir) -> list:

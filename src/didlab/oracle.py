@@ -12,7 +12,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .core import CELLS, Atom, CellStats, CellTable, JointDistribution, _CellMoments
+from .core import CELLS, Atom, CellStats, CellTable, JointDistribution, _CellMoments, _check_finite
 from .diagnostics import observable_pt_probe
 from .errors import LabError
 from .estimators import ObservedCells
@@ -58,8 +58,13 @@ def _moments(joint: JointDistribution) -> _CellMoments:
 
 def cell_table(joint: JointDistribution) -> CellTable:
     """Probability, untreated-trend mean, and untreated-level means per
-    realized treatment sequence.  Empty cells are omitted."""
-    return _cell_table(_moments(joint))
+    realized treatment sequence.  Empty cells are omitted.  Raises
+    non-finite, at the pointer into to_json(), where one overflows."""
+    # numpy's overflow warnings would be noise before that error
+    with np.errstate(over="ignore", invalid="ignore"):
+        table = _cell_table(_moments(joint))
+    _check_finite(table.to_json())
+    return table
 
 
 def _cell_table(moments: _CellMoments) -> CellTable:
@@ -144,8 +149,13 @@ def stopping_residual(config) -> float:
 
 def check_conditions(config: ScenarioConfig, joint: JointDistribution) -> ConditionReport:
     """Evaluate, exactly, the iff-condition for parallel trends that applies
-    to the scenario, alongside the measured deviation it characterizes."""
-    return _check_conditions(config, joint, cell_table(joint), ObservedCells(joint))
+    to the scenario, alongside the measured deviation it characterizes.
+    Raises non-finite, at the pointer into to_json(), where a value
+    overflows."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        report = _check_conditions(config, joint, _cell_table(_moments(joint)), ObservedCells(joint))
+    _check_finite(report.to_json())
+    return report
 
 
 def _check_conditions(

@@ -14,8 +14,9 @@ lists the whole protocol.
 
 A type's decision quantities (its trace, prior mean, posteriors, gains) are
 computed once per config, on first read, and shared by validate() and
-decide(); the cache lives beside the fields, so equality, hashing and
-dataclasses.replace() see the fields alone.
+decide(), and validate()'s report is kept the same way; the cache lives
+beside the fields, so equality, hashing and dataclasses.replace() see the
+fields alone.
 
 Tie-breaking: the forward-looking choice scenarios treat at indifference
 (threshold statistic >= 0); the stopping scenario stops at indifference
@@ -448,6 +449,12 @@ class ScenarioConfig(_Record):
 
     def to_json(self) -> dict:
         return {"scenario": self.scenario_id, **_encode(self)}
+
+    @cached_property
+    def _validation(self) -> ValidationReport:
+        """validate()'s report, once per config; validate_scenario hands out
+        copies of it."""
+        return self.validate()
 
 
 # ---------------------------------------------------------------------------
@@ -1306,10 +1313,11 @@ class AtomSampler:
             i[walking] = np.searchsorted(cdf, u[walking], side="right")
         return np.minimum(i, len(self.joint) - 1)
 
-    def _chunks(self, n: int, seed: int):
+    def index_chunks(self, n: int, seed: int):
         """The atom indices of the n draws of stream seed, COUNT_CHUNK draws
-        at a time, each slice with the offset of its first draw.  The draws
-        are counter-based, so the slices are those of one n-draw call."""
+        at a time, each slice with the offset of its first draw, in
+        O(COUNT_CHUNK) memory.  The draws are counter-based, so together the
+        slices are panel(n, seed).atom_index."""
         for offset, words in _rng.word_chunks(seed, n, COUNT_CHUNK):
             yield offset, self.index(_rng.to_unit(words))
 
@@ -1320,7 +1328,7 @@ class AtomSampler:
         k = len(self.joint)
         counts = np.zeros(k, dtype=np.int64)
         if not self._use_histogram:
-            for _, idx in self._chunks(n, seed):
+            for _, idx in self.index_chunks(n, seed):
                 counts += np.bincount(idx, minlength=k)
             return counts
         # floor(u * m) of u = (word >> 11) * 2^-53 is word >> (64 - log2 m)
@@ -1336,20 +1344,11 @@ class AtomSampler:
         np.add.at(counts, self._bucket_atom[pure], hist[pure])
         return counts
 
-    def panel_chunks(self, n: int, seed: int):
-        """The n draws of stream seed as consecutive panels of at most
-        COUNT_CHUNK units, each with its first unit's offset; together they
-        are panel(n, seed), in O(COUNT_CHUNK + atoms) memory."""
-        for offset, idx in self._chunks(n, seed):
-            yield offset, self._gather(idx, seed)
-
     def panel(self, n: int, seed: int) -> Panel:
         """The n draws of stream seed as a panel with latent columns."""
         if n < 1:
             raise ValueError(f"panel size must be >= 1, got {n}")
-        return self._gather(self.index(_rng.uniforms(seed, n)), seed)
-
-    def _gather(self, idx: np.ndarray, seed: int) -> Panel:
+        idx = self.index(_rng.uniforms(seed, n))
         joint = self.joint
         return Panel(
             d0=joint.d0[idx],

@@ -1,5 +1,6 @@
 """Experiment orchestration: config parsing, replication, file outputs."""
 
+import dataclasses
 import json
 import tracemalloc
 import warnings
@@ -7,8 +8,8 @@ import warnings
 import numpy as np
 import pytest
 
-from didlab import core, harness, scenarios
-from didlab.corpus import shipped_text
+from didlab import _jsonio, core, harness, scenarios
+from didlab.corpus import random_treated_learning, shipped_text
 from didlab.errors import LabError
 from didlab.estimators import ALL_ESTIMATORS, ObservedCells
 from didlab.harness import (
@@ -297,6 +298,35 @@ def test_run_experiment_revalidates():
     assert err.value.code == "invalid-scenario"
 
 
+def test_each_config_object_validates_once(monkeypatch):
+    calls = []
+    validate = scenarios.NoLearning.validate
+
+    def recording(config):
+        calls.append(config)
+        return validate(config)
+
+    monkeypatch.setattr(scenarios.NoLearning, "validate", recording)
+    config = parse_config(shipped_text("known_means")).scenario
+    first, second = core.validate_scenario(config), core.validate_scenario(config)
+    run_experiment(ExperimentConfig(scenario=config, n=20, replications=2))
+    assert calls == [config]
+    assert first == second and first is not second
+    first.add("edited", "by the caller")
+    first.warn("by the caller")
+    third = core.validate_scenario(config)
+    assert third == second and third.ok and third != first
+    assert calls == [config]
+
+    # a replaced config is a new object: equal, with the same hash, but
+    # validated afresh
+    fresh = parse_config(shipped_text("known_means")).scenario
+    replaced = dataclasses.replace(config)
+    assert config == fresh == replaced and hash(config) == hash(fresh) == hash(replaced)
+    assert core.validate_scenario(replaced) == second
+    assert len(calls) == 2 and calls[1] is replaced
+
+
 # --- file outputs -----------------------------------------------------------------
 
 
@@ -351,13 +381,24 @@ def test_absent_cells_written_blank(shipped, tmp_path):
 def test_streamed_panel_csv_matches_drawn_panel(shipped, monkeypatch, tmp_path, n, emit_latent):
     # chunks of 7 units: one partial chunk, one exact, one and a bit, several
     monkeypatch.setattr(scenarios, "COUNT_CHUNK", 7)
-    cfg = ExperimentConfig(
-        scenario=shipped["stopping_informative"], n=n, replications=2, seed=3, emit_latent=emit_latent
-    )
-    write_outputs(run_experiment(cfg), [], tmp_path)
-    panel = draw_panel(build_joint(cfg.scenario), n, derive_seed(cfg.seed, 0))
-    want = "\n".join(panel_csv_lines(panel, emit_latent)) + "\n"
-    assert (tmp_path / "panel.csv").read_bytes() == want.encode()
+    format_float = _jsonio.format_float
+    # 4 atoms, and 96 atoms, where most draws land on an atom not drawn before
+    for scenario in (shipped["stopping_informative"], random_treated_learning(0)):
+        cfg = ExperimentConfig(scenario=scenario, n=n, replications=2, seed=3, emit_latent=emit_latent)
+        report = run_experiment(cfg)
+        out = tmp_path / scenario.scenario_id
+        write_outputs(report, [], out)
+        panel = draw_panel(build_joint(cfg.scenario), n, derive_seed(cfg.seed, 0))
+        want = "\n".join(panel_csv_lines(panel, emit_latent)) + "\n"
+        assert (out / "panel.csv").read_bytes() == want.encode()
+
+        # each drawn atom's floats are formatted once, whatever the unit count
+        calls = []
+        monkeypatch.setattr(_jsonio, "format_float", lambda x: calls.append(x) or format_float(x))
+        text = "".join(harness.sampled_panel_csv(report.sampler, n, derive_seed(cfg.seed, 0), emit_latent))
+        monkeypatch.setattr(_jsonio, "format_float", format_float)
+        assert text == want
+        assert len(calls) <= (6 if emit_latent else 2) * len(set(panel.atom_index.tolist()))
 
 
 def test_write_outputs_prefers_given_panel(small_report, tmp_path):

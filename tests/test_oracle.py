@@ -283,3 +283,18 @@ def test_observable_gap_reported_for_present_selection(shipped, shipped_joints):
         shipped["control_arm_learning"], shipped_joints["control_arm_learning"]
     )
     assert rep.observable_gap == pytest.approx(1.0, abs=TOL)
+
+
+def test_overflowing_outcomes_raise_non_finite_without_a_warning():
+    # y1 - y0 overflows: the public functions raise where the oracle block
+    # does, and numpy warns of nothing (Tier-1 makes a RuntimeWarning fail)
+    pmf = (((1e308, -1e308), 0.5), ((-1e308, 1e308), 0.5))
+    cfg = OptimalStopping(types=(StoppingType(prob=1.0, k0=-1.0, k1=-1.0, beta=0.5, pmf=pmf),))
+    joint = build_joint(cfg)
+    for call, path in [
+        (lambda: check_conditions(cfg, joint), "/pt_deviation"),
+        (lambda: cell_table(joint), "/00/trend_mean"),
+    ]:
+        with pytest.raises(LabError) as err:
+            call()
+        assert err.value.code == "non-finite" and err.value.path == path

@@ -1,6 +1,7 @@
 """Algebraic identities that must hold on arbitrary inputs, not just the
 shipped designs; checked with hypothesis."""
 
+import json
 import os
 import tempfile
 
@@ -9,12 +10,13 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from didlab.core import BoundsInterval, Panel
+from didlab import corpus
+from didlab.core import BoundsInterval, Panel, validate_scenario
 from didlab.corpus import random_config
 from didlab.diagnostics import empirical_cell_table, partial_pt, selection_stationarity
 from didlab.errors import LabError
 from didlab.estimators import ALL_ESTIMATORS, ESTIMATORS, ObservedCells, did_switchers, mts_bounds
-from didlab.harness import PANEL_HEADER, PANEL_HEADER_LATENT, panel_csv_lines, read_panel_csv
+from didlab.harness import PANEL_HEADER, PANEL_HEADER_LATENT, oracle_block, panel_csv_lines, parse_config, read_panel_csv
 from didlab.oracle import cell_table, pt_deviation
 from didlab.scenarios import AtomSampler, build_joint, draw_panel, posterior_mean
 
@@ -277,3 +279,32 @@ def test_posterior_stays_in_hull(prior):
         assume(mass > 1e-9)
         p = posterior_mean(prior, [obs])
         assert lo - 1e-12 <= p <= hi + 1e-12
+
+
+# every corpus family, each given the parallel-trends switch pt (None lets
+# the seed choose): selection_on_past reads it as its identity switch, and a
+# family without a switch ignores it
+_FAMILIES = {
+    "selection_on_past": lambda seed, pt: corpus.random_selection_on_past(seed, identity=bool(pt)),
+    "known_means": lambda seed, pt: corpus.random_known_means(seed),
+    "treated_learning": lambda seed, pt: corpus.random_treated_learning(seed),
+    "control_learning": corpus.random_control_learning,
+    "learner_bounds": lambda seed, pt: corpus.random_learner_bounds(seed),
+    "roy": corpus.random_roy,
+    "roy_irreversible": lambda seed, pt: corpus.random_roy(seed, pt, irreversible=True),
+    "stopping": corpus.random_stopping,
+}
+
+
+@given(st.sampled_from(sorted(_FAMILIES)), st.integers(0, 10**6), st.sampled_from([None, True, False]))
+@settings(max_examples=40, deadline=None)
+def test_library_path_raises_only_lab_errors(family, seed, pt):
+    text = json.dumps(_FAMILIES[family](seed, pt).to_json())
+    config = parse_config(text).scenario
+    reports = [validate_scenario(config), validate_scenario(config)]
+    want = parse_config(text).scenario.validate().to_json()
+    assert [r.to_json() for r in reports] == [want, want]
+    try:
+        oracle_block(config)  # build_joint, then the oracle
+    except LabError:
+        pass
