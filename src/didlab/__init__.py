@@ -21,7 +21,6 @@ The package is organized bottom-up:
 """
 
 from .core import (
-    Atom,
     BoundsInterval,
     CellStats,
     CellTable,
@@ -114,7 +113,6 @@ __all__ = [
     "__version__",
     "LabError",
     # core
-    "Atom",
     "BoundsInterval",
     "CellStats",
     "CellTable",

@@ -78,17 +78,6 @@ class LatentState:
     po: PotentialOutcomes
 
 
-@dataclass(frozen=True)
-class Atom:
-    """One support point of the population distribution."""
-
-    state: LatentState
-    treat: TreatmentPair
-    y0: float
-    y1: float
-    prob: float
-
-
 class JointDistribution:
     """Exact finite-support pmf over (latent state, decisions, realized
     outcomes), stored as columns with one row per atom.
@@ -113,17 +102,6 @@ class JointDistribution:
         self.y0 = np.where(self.d0 == 1, self.po[:, 1], self.po[:, 0])
         self.y1 = np.where(self.d1 == 1, self.po[:, 3], self.po[:, 2])
         self.scenario_id = scenario_id
-
-    @property
-    def atoms(self) -> list[Atom]:
-        """The rows as Atom objects, built afresh on every read."""
-        return [
-            Atom(LatentState(u, PotentialOutcomes.of(*po)), TreatmentPair(d0, d1), y0, y1, p)
-            for u, po, d0, d1, y0, y1, p in zip(
-                self.u0_type.tolist(), self.po.tolist(), self.d0.tolist(), self.d1.tolist(),
-                self.y0.tolist(), self.y1.tolist(), self.prob.tolist(),
-            )
-        ]
 
     def total_mass(self) -> float:
         return float(np.sum(self.prob))
@@ -170,8 +148,6 @@ class Panel:
         y1: np.ndarray,
         po: Optional[np.ndarray] = None,
         atom_index: Optional[np.ndarray] = None,
-        scenario_id: str = "",
-        seed: int = 0,
     ):
         self.d0 = np.asarray(d0, dtype=np.int8)
         self.d1 = np.asarray(d1, dtype=np.int8)
@@ -188,8 +164,6 @@ class Panel:
                 raise ValueError(f"latent matrix must be (n, 4), got {po.shape}")
         self.po = po
         self.atom_index = atom_index
-        self.scenario_id = scenario_id
-        self.seed = seed
 
     @property
     def n(self) -> int:
@@ -227,12 +201,6 @@ class CellTable:
         c = self.cells.get((d0, d1))
         return c.prob if c else 0.0
 
-    def nonempty(self) -> list[tuple[int, int]]:
-        return [cell for cell in CELLS if cell in self.cells]
-
-    def trends(self) -> dict[tuple[int, int], float]:
-        return {cell: st.trend_mean for cell, st in self.cells.items()}
-
     def to_json(self) -> dict:
         out = {}
         for (d0, d1), st in sorted(self.cells.items()):
@@ -243,6 +211,18 @@ class CellTable:
                 "level_y1": st.level_y1,
             }
         return out
+
+
+def _cell_table(masses, sums, total, source: str) -> CellTable:
+    """The CellTable of the paths c = 2*d0 + d1 with masses[c] > 0, each with
+    share masses[c] / total and means sums[c] / masses[c] of the trend, y00 and
+    y10: p-sums over total 1 for the oracle, unit counts over n for a panel."""
+    cells = {
+        cell: CellStats(mass / total, *(s / mass for s in path_sums))
+        for cell, mass, path_sums in zip(CELLS, masses, sums)
+        if mass > 0
+    }
+    return CellTable(cells, source)
 
 
 class _CellMoments:
@@ -264,12 +244,12 @@ class _CellMoments:
         ]
 
 
-def _check_finite(obj: dict) -> None:
-    """Raise non-finite at the JSON pointer of the first non-finite float in
-    obj, nested dicts of exact population quantities, in insertion order."""
+def _check_finite(obj: dict, what: str = "an exact population quantity") -> None:
+    """Raise non-finite, calling the value what, at the JSON pointer of the
+    first non-finite float in obj's nested dicts, in insertion order."""
     bad = _first_non_finite(obj)
     if bad is not None:
-        raise LabError("non-finite", "an exact population quantity overflows the float range", bad)
+        raise LabError("non-finite", f"{what} overflows the float range", bad)
 
 
 def _first_non_finite(obj: dict, path: str = "") -> Optional[str]:

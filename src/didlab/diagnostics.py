@@ -12,7 +12,9 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass
 from typing import Union
 
-from .core import CELLS, CellStats, CellTable, JointDistribution, Panel, _CellMoments
+import numpy as np
+
+from .core import CellTable, JointDistribution, Panel, _cell_table, _CellMoments, _check_finite
 from .errors import LabError
 from .estimators import ObservedCells
 
@@ -30,19 +32,21 @@ __all__ = [
 
 def empirical_cell_table(panel: Panel) -> CellTable:
     """Sample analog of the oracle cell table: cell shares and per-cell sample
-    means of the latent untreated outcomes."""
+    means of the latent untreated outcomes.  Raises non-finite, at the pointer
+    into to_json(), where a mean overflows."""
     if not panel.has_latent:
         raise LabError(
             "latent-required",
             "empirical cell table needs latent potential outcomes; draw the panel with them attached",
         )
     y00, y10 = panel.po[:, 0], panel.po[:, 2]
-    moments = _CellMoments(panel.d0, panel.d1, (y10 - y00, y00, y10))
-    cells: dict[tuple[int, int], CellStats] = {}
-    for cell, count, sums in zip(CELLS, moments.counts, moments.sums):
-        if count:  # a sum over its count has np.mean's bits
-            cells[cell] = CellStats(count / panel.n, *(s / count for s in sums))
-    return CellTable(cells, source="empirical-latent")
+    # numpy's overflow warnings would be noise before that error
+    with np.errstate(over="ignore", invalid="ignore"):
+        moments = _CellMoments(panel.d0, panel.d1, (y10 - y00, y00, y10))
+        # a sum over its count has np.mean's bits
+        table = _cell_table(moments.counts, moments.sums, panel.n, "empirical-latent")
+    _check_finite(table.to_json(), "a sample mean")
+    return table
 
 
 @dataclass(frozen=True)

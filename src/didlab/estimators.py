@@ -200,14 +200,6 @@ def mts_bounds(data: Data) -> EstimateReport:
     )
 
 
-ALL_ESTIMATORS = (
-    "did_sharp",
-    "did_switchers",
-    "att_stationary",
-    "att_forward_stationary",
-    "mts_bounds",
-)
-
 ESTIMATORS = {
     "did_sharp": did_sharp,
     "did_switchers": did_switchers,
@@ -215,6 +207,8 @@ ESTIMATORS = {
     "att_forward_stationary": att_forward_stationary,
     "mts_bounds": mts_bounds,
 }
+
+ALL_ESTIMATORS = tuple(ESTIMATORS)
 
 
 def run_estimator(estimator_id: str, data: Data) -> EstimateReport:

@@ -14,7 +14,7 @@ from __future__ import annotations
 import json
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Optional, Union
 
@@ -25,7 +25,7 @@ from ._rng import derive_seed
 from .core import BoundsInterval, CELLS, JointDistribution, Panel, _check_finite, validate_scenario
 from .errors import LabError
 from .estimators import ALL_ESTIMATORS, ESTIMATORS, ObservedCells
-from .oracle import _cell_table, _check_conditions, _moments, _true_att_switchers
+from .oracle import _check_conditions, _moments, _oracle_table, _true_att_switchers
 from .scenarios import AtomSampler, ScenarioConfig, build_joint, scenario_from_json
 
 __all__ = [
@@ -55,6 +55,8 @@ class ExperimentConfig:
     outputs: Optional[str] = None
     emit_latent: bool = False
 
+
+_CONFIG_KEYS = frozenset(f.name for f in fields(ExperimentConfig))
 
 # Bounds of the integer settings, for a config file and the CLI's overrides
 # alike: run_experiment keeps O(replications) lists, and n bounds a panel.
@@ -96,9 +98,8 @@ def parse_config(text: Union[bytes, str]) -> ExperimentConfig:
     if not isinstance(tag, dict):
         raise LabError("schema-error", "'scenario' must be a scenario object or tag string", "/scenario")
 
-    known = {"scenario", "n", "replications", "seed", "estimators", "outputs", "emit_latent"}
     for key in obj:
-        if key not in known:
+        if key not in _CONFIG_KEYS:
             raise LabError("schema-error", f"unknown key {key!r}", f"/{key}")
     cfg = ExperimentConfig(scenario=scenario_from_json(tag, path="/scenario"))
     for key in _INT_SETTINGS:
@@ -168,7 +169,7 @@ def _oracle_block(config: ScenarioConfig, joint: JointDistribution, estimator_id
     # names by their pointer: numpy's warnings about them would be noise
     with np.errstate(over="ignore", invalid="ignore"):
         moments = _moments(joint)
-        table = _cell_table(moments)
+        table = _oracle_table(moments)
         cells = ObservedCells(joint)
         conditions = _check_conditions(config, joint, table, cells)
     block: dict = {

@@ -8,11 +8,11 @@ reported quantity is a plain finite sum: equality claims can be tested at
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
-from .core import CELLS, Atom, CellStats, CellTable, JointDistribution, _CellMoments, _check_finite
+from .core import CellTable, JointDistribution, _cell_table, _CellMoments, _check_finite
 from .diagnostics import observable_pt_probe
 from .errors import LabError
 from .estimators import ObservedCells
@@ -31,21 +31,17 @@ __all__ = [
 ]
 
 
-def conditional_mean(
-    joint: JointDistribution,
-    statistic: Callable[[Atom], float],
-    event: Callable[[Atom], bool],
-) -> float:
-    """Exact E[statistic | event] under the joint."""
-    num = 0.0
-    den = 0.0
-    for a in joint.atoms:
-        if event(a):
-            num += a.prob * statistic(a)
-            den += a.prob
+def conditional_mean(joint: JointDistribution, values, event) -> float:
+    """Exact E[values | event] under the joint, for a (k,) column of values
+    and a (k,) boolean mask of the event over its atoms: for instance
+    conditional_mean(joint, joint.po[:, 2], joint.d1 == 1) is
+    E[Y1(0) | D1 = 1]."""
+    event = np.asarray(event, dtype=bool)
+    p = joint.prob[event]
+    den = float(np.sum(p))
     if den <= 0.0:
         raise LabError("empty-event", "conditioning event has zero probability")
-    return num / den
+    return float(np.sum(p * np.asarray(values, dtype=np.float64)[event])) / den
 
 
 def _moments(joint: JointDistribution) -> _CellMoments:
@@ -62,18 +58,14 @@ def cell_table(joint: JointDistribution) -> CellTable:
     non-finite, at the pointer into to_json(), where one overflows."""
     # numpy's overflow warnings would be noise before that error
     with np.errstate(over="ignore", invalid="ignore"):
-        table = _cell_table(_moments(joint))
+        table = _oracle_table(_moments(joint))
     _check_finite(table.to_json())
     return table
 
 
-def _cell_table(moments: _CellMoments) -> CellTable:
-    cells: dict[tuple[int, int], CellStats] = {}
-    for cell, sums in zip(CELLS, moments.sums):
-        if sums is not None and sums[0] > 0.0:
-            p, trend, level_y0, level_y1, _ = sums
-            cells[cell] = CellStats(prob=p, trend_mean=trend / p, level_y0=level_y0 / p, level_y1=level_y1 / p)
-    return CellTable(cells, source="oracle")
+def _oracle_table(moments: _CellMoments) -> CellTable:
+    sums = [s or [0.0] * 5 for s in moments.sums]  # an empty path has no mass
+    return _cell_table([s[0] for s in sums], [s[1:4] for s in sums], 1.0, "oracle")
 
 
 def pt_deviation(table: CellTable) -> float:
@@ -142,9 +134,12 @@ class ConditionReport:
 def stopping_residual(config) -> float:
     """Imbalance between the continue-continue cell's untreated trend mass and
     its parallel-trends share; zero iff parallel trends holds (whenever both
-    period-1 cells are reachable).  See OptimalStopping.stopping_residual."""
+    period-1 cells are reachable).  See OptimalStopping.stopping_residual.
+    Raises non-finite, at /stopping_residual, where it overflows."""
     _expect_scenario(config, "optimal_stopping", "the stopping residual needs an optimal_stopping config")
-    return config.stopping_residual()
+    resid = config.stopping_residual()
+    _check_finite({"stopping_residual": resid})
+    return resid
 
 
 def check_conditions(config: ScenarioConfig, joint: JointDistribution) -> ConditionReport:
@@ -153,7 +148,7 @@ def check_conditions(config: ScenarioConfig, joint: JointDistribution) -> Condit
     Raises non-finite, at the pointer into to_json(), where a value
     overflows."""
     with np.errstate(over="ignore", invalid="ignore"):
-        report = _check_conditions(config, joint, _cell_table(_moments(joint)), ObservedCells(joint))
+        report = _check_conditions(config, joint, _oracle_table(_moments(joint)), ObservedCells(joint))
     _check_finite(report.to_json())
     return report
 

@@ -1357,8 +1357,6 @@ class AtomSampler:
             y1=joint.y1[idx],
             po=np.take(joint.po, idx, axis=0),
             atom_index=idx.astype(np.int64),
-            scenario_id=joint.scenario_id,
-            seed=seed,
         )
 
 

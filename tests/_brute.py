@@ -1,15 +1,16 @@
 """Independent reference implementations used to cross-check the library.
 
-Everything here is written with plain dict/loops on the joint's atoms, on
-purpose: these must not share code paths (or numpy reductions) with the
-oracle module they check.  brute_joint enumerates a scenario's latent grid
-point by point, apart from the library's per-type numpy blocks.  The
-exceptions are the old implementations kept as bit references
-(brute_read_panel and the masked_* cell sums at the end).
+Everything here is written with plain dict/loops on the joint's atoms, the
+plain tuples of atoms() below, on purpose: these must not share code paths
+(or numpy reductions) with the oracle module they check.  brute_joint
+enumerates a scenario's latent grid point by point, apart from the
+library's per-type numpy blocks.  The exceptions are the old
+implementations kept as bit references (brute_read_panel and the masked_*
+cell sums at the end).
 """
 
 from bisect import bisect_right
-from collections import defaultdict
+from collections import defaultdict, namedtuple
 from itertools import product
 
 import numpy as np
@@ -20,6 +21,21 @@ from didlab.errors import LabError
 from didlab.harness import PANEL_HEADER, PANEL_HEADER_LATENT
 
 
+Atom = namedtuple("Atom", "u0_type po d0 d1 y0 y1 prob")
+
+
+def atoms(joint):
+    """The joint's rows as plain Atom tuples, po the (y00, y01, y10, y11)
+    tuple, walked off the columns' Python lists."""
+    return [
+        Atom(u, tuple(po), d0, d1, y0, y1, p)
+        for u, po, d0, d1, y0, y1, p in zip(
+            joint.u0_type.tolist(), joint.po.tolist(), joint.d0.tolist(), joint.d1.tolist(),
+            joint.y0.tolist(), joint.y1.tolist(), joint.prob.tolist(),
+        )
+    ]
+
+
 def brute_cells(joint):
     """Cell probabilities, untreated-trend means, and untreated level means,
     accumulated atom by atom."""
@@ -28,12 +44,12 @@ def brute_cells(joint):
     lvl0 = defaultdict(float)
     lvl1 = defaultdict(float)
     total = 0.0
-    for atom in joint.atoms:
-        cell = (atom.treat.d0, atom.treat.d1)
+    for atom in atoms(joint):
+        cell = (atom.d0, atom.d1)
         p = atom.prob
         total += p
         mass[cell] += p
-        flat = atom.state.po.flat
+        flat = atom.po
         trend[cell] += p * (flat[2] - flat[0])
         lvl0[cell] += p * flat[0]
         lvl1[cell] += p * flat[2]
@@ -57,12 +73,24 @@ def brute_pt_deviation(joint):
 def brute_att_switchers(joint):
     num = 0.0
     den = 0.0
-    for atom in joint.atoms:
-        if atom.treat.d0 == 0 and atom.treat.d1 == 1:
-            flat = atom.state.po.flat
+    for atom in atoms(joint):
+        if atom.d0 == 0 and atom.d1 == 1:
+            flat = atom.po
             num += atom.prob * (flat[3] - flat[2])
             den += atom.prob
     return num / den
+
+
+def brute_conditional_mean(joint, statistic, event):
+    """E[statistic(atom) | event(atom)] by one pass over the atoms; None when
+    the event has no mass."""
+    num = 0.0
+    den = 0.0
+    for atom in atoms(joint):
+        if event(atom):
+            num += atom.prob * statistic(atom)
+            den += atom.prob
+    return num / den if den > 0.0 else None
 
 
 def brute_posterior(prior, observation):
@@ -89,12 +117,12 @@ def brute_stopping_residual(joint):
     stay = 0.0
     stay_mass = 0.0
     norm = 0.0
-    for atom in joint.atoms:
-        flat = atom.state.po.flat
+    for atom in atoms(joint):
+        flat = atom.po
         d = flat[2] - flat[0]
         total += atom.prob * d
         norm += atom.prob
-        if atom.treat.d0 == 0 and atom.treat.d1 == 0:
+        if atom.d0 == 0 and atom.d1 == 0:
             stay += atom.prob * d
             stay_mass += atom.prob
     tau = total / norm

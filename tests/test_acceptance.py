@@ -95,10 +95,10 @@ def test_criterion_02_past_outcome_selection_iff():
         dev = pt_deviation(cell_table(joint))
         if dev <= GAP:
             failures.append((seed, "non-identity too flat", dev))
-        y10 = lambda a: a.state.po.flat[2]
+        y10 = joint.po[:, 2]
         formula = (
-            conditional_mean(joint, y10, lambda a: a.treat.d1 == 1)
-            - conditional_mean(joint, y10, lambda a: a.treat.d1 == 0)
+            conditional_mean(joint, y10, joint.d1 == 1)
+            - conditional_mean(joint, y10, joint.d1 == 0)
             + 1.0
         )
         if abs(dev - formula) > EXACT:
@@ -191,7 +191,7 @@ def test_criterion_05_roy_iff_and_staggering():
             if not flat and dev <= GAP:
                 failures.append((key, seed, "inside margin", dev))
             n_flat += flat
-            if irreversible and any(a.treat.d0 > a.treat.d1 for a in joint.atoms):
+            if irreversible and (joint.d0 > joint.d1).any():
                 failures.append((key, seed, "treatment reversed on some atom"))
     _verdict(
         "criterion-5 outcome-comparison iff + lock-in",

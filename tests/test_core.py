@@ -90,8 +90,6 @@ def test_cell_table_accessors():
     assert table.source == "oracle"
     assert table.prob(0, 1) == 0.4
     assert table.prob(1, 1) == 0.0
-    assert table.nonempty() == [(0, 0), (0, 1)]
-    assert table.trends()[(0, 0)] == -0.2
     assert set(table.to_json()) == {"00", "01"}
     with pytest.raises(ValueError):
         CellTable({(0, 0): CellStats(0.5, 0.0, 0.0, 0.0)})

@@ -32,7 +32,7 @@ from didlab.scenarios import (
     scenario_from_json,
 )
 
-from _brute import brute_cells, brute_counts, brute_joint
+from _brute import atoms, brute_cells, brute_counts, brute_joint
 
 
 def test_all_shipped_joints_are_tight(shipped, shipped_joints):
@@ -42,9 +42,9 @@ def test_all_shipped_joints_are_tight(shipped, shipped_joints):
         arr = joint.arrays()
         assert arr["prob"].min() > 0.0, name
         # realized outcomes must equal the potential outcome of the chosen arm
-        for atom in joint.atoms:
-            flat = atom.state.po.flat
-            d0, d1 = atom.treat.d0, atom.treat.d1
+        for atom in atoms(joint):
+            flat = atom.po
+            d0, d1 = atom.d0, atom.d1
             if joint.scenario_id == "optimal_stopping":
                 assert atom.y0 == (0.0 if d0 else flat[0])
                 assert atom.y1 == (0.0 if d1 else flat[2])
@@ -73,10 +73,11 @@ def test_every_atom_follows_the_decision_rule(shipped, seeds):
     cases = list(shipped.items())
     cases += [(f"{key}:{seed}", make(seed)) for key, make in _CORPUS_FAMILIES.items() for seed in seeds[key]]
     for label, cfg in cases:
-        for atom in build_joint(cfg).atoms:
-            assert decide(cfg, atom.state).realized() == atom.treat, label
-            flat = atom.state.po.flat
-            assert (atom.y0, atom.y1) == (flat[atom.treat.d0], flat[2 + atom.treat.d1]), label
+        for atom in atoms(build_joint(cfg)):
+            tr = decide(cfg, LatentState(atom.u0_type, PotentialOutcomes.of(*atom.po))).realized()
+            assert (tr.d0, tr.d1) == (atom.d0, atom.d1), label
+            flat = atom.po
+            assert (atom.y0, atom.y1) == (flat[atom.d0], flat[2 + atom.d1]), label
 
 
 def _wide_config(seed):
@@ -227,11 +228,12 @@ def test_draw_panel_deterministic_and_latent(shipped_joints):
     assert p1.n == 500 and p1.has_latent
     assert p1.po.shape == (500, 4)
     # every row reproduces its generating atom exactly
+    rows = atoms(joint)
     for i in range(0, 500, 97):
-        atom = joint.atoms[p1.atom_index[i]]
-        assert (p1.d0[i], p1.d1[i]) == (atom.treat.d0, atom.treat.d1)
+        atom = rows[p1.atom_index[i]]
+        assert (p1.d0[i], p1.d1[i]) == (atom.d0, atom.d1)
         assert p1.y0[i] == atom.y0 and p1.y1[i] == atom.y1
-        assert tuple(p1.po[i]) == atom.state.po.flat
+        assert tuple(p1.po[i]) == atom.po
 
 
 def test_draw_panel_frequencies_converge(shipped_joints):
@@ -239,12 +241,6 @@ def test_draw_panel_frequencies_converge(shipped_joints):
     panel = draw_panel(joint, 20_000, seed=7)
     share = float(np.mean(panel.d1))
     assert abs(share - 0.5) < 0.02
-
-
-def test_panel_seed_column_annotations(shipped_joints):
-    panel = draw_panel(shipped_joints["roy_repeated"], 10, seed=9)
-    assert panel.seed == 9
-    assert panel.scenario_id == "roy_repeated"
 
 
 # --- atom sampler --------------------------------------------------------------

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from didlab.core import CellTable, JointDistribution, Panel
+from didlab.core import CELLS, CellTable, JointDistribution, Panel
 from didlab.corpus import random_config, random_control_learning, random_stopping
 from didlab.diagnostics import empirical_cell_table
 from didlab.errors import LabError
@@ -18,11 +18,12 @@ from didlab.oracle import (
     stopping_residual,
     true_att_switchers,
 )
-from didlab.scenarios import OptimalStopping, StoppingType, build_joint
+from didlab.scenarios import OptimalStopping, StoppingType, build_joint, draw_panel
 
 from _brute import (
     brute_att_switchers,
     brute_cells,
+    brute_conditional_mean,
     brute_pt_deviation,
     brute_stopping_residual,
     masked_att_switchers,
@@ -144,11 +145,41 @@ def test_true_att_requires_switchers():
 
 def test_conditional_mean_event_algebra(shipped_joints):
     joint = shipped_joints["control_arm_learning"]
-    low = conditional_mean(joint, lambda a: a.state.po.flat[2], lambda a: a.treat.d1 == 1)
+    low = conditional_mean(joint, joint.po[:, 2], joint.d1 == 1)
     assert low == pytest.approx(0.32, abs=TOL)
-    with pytest.raises(LabError) as err:
-        conditional_mean(joint, lambda a: a.y0, lambda a: a.treat.d0 == 1)
-    assert err.value.code == "empty-event"
+    for event in (joint.d0 == 1, np.zeros(len(joint), dtype=bool)):
+        with pytest.raises(LabError) as err:
+            conditional_mean(joint, joint.y0, event)
+        assert err.value.code == "empty-event"
+
+
+# (column of the joint, the same value of one brute atom)
+_STATISTICS = [
+    (lambda j: j.po[:, 2], lambda a: a.po[2]),
+    (lambda j: j.y1 - j.y0, lambda a: a.y1 - a.y0),
+    (lambda j: j.po[:, 3] - j.po[:, 2], lambda a: a.po[3] - a.po[2]),
+]
+# (mask over the joint, the same event on one brute atom)
+_EVENTS = [(lambda j, c=c: (j.d0 == c[0]) & (j.d1 == c[1]), lambda a, c=c: (a.d0, a.d1) == c) for c in CELLS]
+_EVENTS += [
+    (lambda j: j.d1 == 1, lambda a: a.d1 == 1),
+    (lambda j: j.po[:, 2] > j.po[:, 0], lambda a: a.po[2] > a.po[0]),
+]
+
+
+def test_conditional_mean_matches_a_loop_over_atoms(shipped_joints):
+    cases = list(shipped_joints.items())
+    cases += [(f"random:{seed}", build_joint(random_config(seed))) for seed in range(40)]
+    for label, joint in cases:
+        for column, value in _STATISTICS:
+            for mask, event in _EVENTS:
+                ref = brute_conditional_mean(joint, value, event)
+                if ref is None:
+                    with pytest.raises(LabError) as err:
+                        conditional_mean(joint, column(joint), mask(joint))
+                    assert err.value.code == "empty-event", label
+                else:
+                    assert abs(conditional_mean(joint, column(joint), mask(joint)) - ref) <= TOL, label
 
 
 def test_pt_deviation_on_empty_table_errors():
@@ -286,15 +317,19 @@ def test_observable_gap_reported_for_present_selection(shipped, shipped_joints):
 
 
 def test_overflowing_outcomes_raise_non_finite_without_a_warning():
-    # y1 - y0 overflows: the public functions raise where the oracle block
-    # does, and numpy warns of nothing (Tier-1 makes a RuntimeWarning fail)
+    # y1 - y0 overflows: the public functions raise, the oracle's where the
+    # oracle block does, and numpy warns of nothing (Tier-1 makes a
+    # RuntimeWarning fail)
     pmf = (((1e308, -1e308), 0.5), ((-1e308, 1e308), 0.5))
     cfg = OptimalStopping(types=(StoppingType(prob=1.0, k0=-1.0, k1=-1.0, beta=0.5, pmf=pmf),))
     joint = build_joint(cfg)
-    for call, path in [
-        (lambda: check_conditions(cfg, joint), "/pt_deviation"),
-        (lambda: cell_table(joint), "/00/trend_mean"),
+    for call, path, what in [
+        (lambda: check_conditions(cfg, joint), "/pt_deviation", "an exact population quantity"),
+        (lambda: cell_table(joint), "/00/trend_mean", "an exact population quantity"),
+        (lambda: stopping_residual(cfg), "/stopping_residual", "an exact population quantity"),
+        (lambda: empirical_cell_table(draw_panel(joint, 50, 1)), "/00/trend_mean", "a sample mean"),
     ]:
         with pytest.raises(LabError) as err:
             call()
         assert err.value.code == "non-finite" and err.value.path == path
+        assert str(err.value) == f"[non-finite] {what} overflows the float range (at {path})"
