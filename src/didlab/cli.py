@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -83,7 +84,11 @@ def _validated_config(args) -> ExperimentConfig:
 def _cmd_validate(args) -> int:
     cfg = parse_config(_load_text(args.config))
     report = validate_scenario(cfg.scenario)
-    print(json.dumps(report.to_json(), indent=2, default=repr))
+    out = report.to_json()
+    for v in out["violations"]:
+        # JSON has no number for inf or nan: write them as "inf", "-inf", "nan"
+        v["values"] = [x if not isinstance(x, float) or math.isfinite(x) else str(x) for x in v["values"]]
+    print(json.dumps(out, indent=2, default=repr))
     return 0 if report.ok else 1
 
 

@@ -202,15 +202,10 @@ def _treated_learning_type(
             margins.append(abs(post - m1 - k1_entry))
         if min(margins) < MARGIN:
             continue
-        gains = _treated_gains(ty)
-        if abs(gains) < MARGIN:
+        # the period-0 margin of the scenario's own decision rule
+        if abs(ty._gains[0]) < MARGIN:
             continue
         return ty
-
-
-def _treated_gains(ty: TreatedLearningType) -> float:
-    # mirror the scenario's decision rule to measure the period-0 margin
-    return TreatedArmLearning(types=(ty,))._beliefs[0].gains()[0]
 
 
 def random_treated_learning(seed: int) -> TreatedArmLearning:
@@ -413,13 +408,9 @@ def _uninformative_type(rng: random.Random, prob: float, tau: float, k1: float) 
                 pmf.append(((y0, c), w))
         k0 = mean0 - rng.uniform(0.2, 1.0)  # keep period 0 clearly worth continuing
         ty = StoppingType(prob=prob, k0=k0, k1=k1, beta=0.9, pmf=tuple(pmf))
-        if abs(_cont0_margin(ty)) < MARGIN:
+        if abs(ty._cont0) < MARGIN:
             continue
         return ty
-
-
-def _cont0_margin(ty: StoppingType) -> float:
-    return OptimalStopping(types=(ty,))._cont0s[0]
 
 
 def _informative_type(rng: random.Random, prob: float, tau: float, k1: float) -> StoppingType:
@@ -442,7 +433,7 @@ def _informative_type(rng: random.Random, prob: float, tau: float, k1: float) ->
         )
         # everyone must clearly continue at period 0, else nobody reaches
         # the period-1 stopping margin that breaks parallel trends
-        if _cont0_margin(ty) < MARGIN:
+        if ty._cont0 < MARGIN:
             continue
         return ty
 

@@ -12,10 +12,11 @@ also carries its own parallel-trends condition (conditions()), its catalog
 note, and its JSON fields, declared once (json_fields); ScenarioConfig
 lists the whole protocol.
 
-A type's decision quantities (its trace, prior mean, posteriors, gains) are
-computed once per config, on first read, and shared by validate() and
-decide(), and validate()'s report is kept the same way; the cache lives
-beside the fields, so equality, hashing and dataclasses.replace() see the
+A type's decision quantities (its trace, prior mean, posteriors, gains,
+continuation values) live on the type object: each is computed once, on its
+first read, and shared by validate() and decide() and by every config that
+holds the type; a config keeps validate()'s report the same way.  The cached
+values are not fields, so equality, hashing and dataclasses.replace() see the
 fields alone.
 
 Tie-breaking: the forward-looking choice scenarios treat at indifference
@@ -29,7 +30,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
-from functools import cached_property
 from itertools import product
 from typing import Callable, NamedTuple, Optional, Sequence
 
@@ -126,81 +126,50 @@ def posterior_mean_or_prior(prior: Prior, observation: int) -> float:
         return prior_mean(prior)
 
 
-class _PerType:
-    """make(types[i]) for each type index i, computed on the first read of
-    that index and then kept, so a type that is never read costs nothing."""
+class _once:
+    """A lazy attribute: the method's value, computed on the first read and
+    stored on the instance under the method's name, so later reads are plain
+    attribute hits.  It is not a field, so a dataclass's ==, hash, repr and
+    replace() ignore it.  functools.cached_property (a lock on each first
+    read) and a write into __dict__ both timed slower than object.__setattr__
+    on configs with hundreds of types."""
 
-    __slots__ = ("_types", "_make", "_values")
+    def __init__(self, func):
+        self.func = func
+        self.name = func.__name__
 
-    def __init__(self, types, make):
-        self._types = types
-        self._make = make
-        self._values = [None] * len(types)
-
-    def __getitem__(self, i: int):
-        value = self._values[i]
-        if value is None:
-            value = self._values[i] = self._make(self._types[i])
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = self.func(obj)
+        object.__setattr__(obj, self.name, value)
         return value
 
 
-class _Beliefs:
-    """A learning type's beliefs about its unknown arm: the prior mean, and
-    the posterior mean after one 0/1 observation, each computed once.  post()
-    raises impossible-observation, as posterior_mean does, and caches only
-    values."""
+class _Learner:
+    """A learning type's beliefs about its unknown arm, read from its prior:
+    the prior mean, and the posterior mean after one 0/1 observation."""
 
-    def __init__(self, ty):
-        self.ty = ty
-        self.mean = prior_mean(ty.prior)
-        self._post: dict[int, float] = {}
+    @_once
+    def _mean(self) -> float:
+        return prior_mean(self.prior)
 
-    def post(self, y: int) -> float:
-        post = self._post.get(y)
-        if post is None:
-            post = self._post[y] = posterior_mean(self.ty.prior, [y])
-        return post
+    @_once
+    def _post(self) -> tuple[Optional[float], Optional[float]]:
+        """The posterior mean after observing 0 and after observing 1, None
+        where that observation has zero prior probability."""
+        post = []
+        for y in (0, 1):
+            try:
+                post.append(posterior_mean(self.prior, [y]))
+            except LabError:
+                post.append(None)
+        return tuple(post)
 
-    def possible(self, y: int) -> bool:
-        """Whether observing y has positive prior probability, that is
-        whether post(y)'s normalizer is positive."""
-        try:
-            self.post(y)
-        except LabError:
-            return False
-        return True
-
-    def post_or_prior(self, y: int) -> float:
-        """posterior_mean_or_prior(ty.prior, y)."""
-        try:
-            return self.post(y)
-        except LabError:
-            return self.mean
-
-
-class _TreatedBeliefs(_Beliefs):
-    """_Beliefs of a treated_arm_learning type, plus its period-0 gain and
-    continuation values, computed once on first read by gains()."""
-
-    def __init__(self, ty):
-        super().__init__(ty)
-        self._gains = None
-
-    def gains(self) -> tuple[float, tuple[float, float]]:
-        """The period-0 threshold statistic, and the period-0 expectations of
-        the period-1 value untreated and treated (W1(0), E W1(1))."""
-        if self._gains is None:
-            ty = self.ty
-            k0, k1 = ty.costs.k0, ty.costs.k1
-            w1_untreated = max(self.mean - k1[0][1], ty.mu_ctrl[1] - k1[0][0])
-            w1_treated = 0.0
-            for y in (0, 1):
-                w = _bern(y, self.mean)
-                if w > 0.0 and self.possible(y):
-                    w1_treated += w * max(self.post(y) - k1[1][1], ty.mu_ctrl[1] - k1[1][0])
-            gains = (self.mean - k0[1]) - (ty.mu_ctrl[0] - k0[0]) + ty.beta * (w1_treated - w1_untreated)
-            self._gains = gains, (w1_untreated, w1_treated)
-        return self._gains
+    def _post_or_prior(self, y: int) -> float:
+        """posterior_mean_or_prior(self.prior, y)."""
+        post = self._post[y]
+        return self._mean if post is None else post
 
 
 @dataclass(frozen=True)
@@ -450,7 +419,7 @@ class ScenarioConfig(_Record):
     def to_json(self) -> dict:
         return {"scenario": self.scenario_id, **_encode(self)}
 
-    @cached_property
+    @_once
     def _validation(self) -> ValidationReport:
         """validate()'s report, once per config; validate_scenario hands out
         copies of it."""
@@ -531,6 +500,20 @@ class NoLearningType(_Record):
 
     json_fields = (("mu", _MATRIX), ("prob", _NUM), ("costs", _COSTS), ("beta", _NUM))
 
+    def _g1(self, d0: int) -> float:
+        k1 = self.costs.k1[d0]
+        return (self.mu[1][1] - k1[1]) - (self.mu[1][0] - k1[0])
+
+    @_once
+    def _trace(self) -> DecisionTrace:
+        """The type's decision trace: its decisions depend on nothing else."""
+        k1 = self.costs.k1
+        w1 = tuple(max(self.mu[1][1] - k1[d0][1], self.mu[1][0] - k1[d0][0]) for d0 in (0, 1))
+        d1_given = tuple(int(self._g1(d0) >= 0) for d0 in (0, 1))
+        k0 = self.costs.k0
+        gains = (self.mu[0][1] - k0[1]) - (self.mu[0][0] - k0[0]) + self.beta * (w1[1] - w1[0])
+        return DecisionTrace(int(gains >= 0), d1_given, w1, gains)
+
 
 @dataclass(frozen=True)
 class NoLearning(ScenarioConfig):
@@ -559,35 +542,16 @@ class NoLearning(ScenarioConfig):
                     rep.add("cost-not-finite", f"non-finite cost in types[{i}]", v)
             taus.append(ty.mu[1][0] - ty.mu[0][0])
             if rep.ok:
-                tr = self._traces[i]
-                _warn_edge(rep, tr.gains, "types[{}] period-0 gain", i)
+                _warn_edge(rep, ty._trace.gains, "types[{}] period-0 gain", i)
                 for d0 in (0, 1):
-                    _warn_edge(rep, self._g1(ty, d0), "types[{}] period-1 gain given d0={}", i, d0)
+                    _warn_edge(rep, ty._g1(d0), "types[{}] period-1 gain given d0={}", i, d0)
         _check_common_trend(rep, taus)
         return rep
-
-    @staticmethod
-    def _g1(ty: NoLearningType, d0: int) -> float:
-        k1 = ty.costs.k1[d0]
-        return (ty.mu[1][1] - k1[1]) - (ty.mu[1][0] - k1[0])
-
-    def _type_trace(self, ty: NoLearningType) -> DecisionTrace:
-        k1 = ty.costs.k1
-        w1 = tuple(max(ty.mu[1][1] - k1[d0][1], ty.mu[1][0] - k1[d0][0]) for d0 in (0, 1))
-        d1_given = tuple(int(self._g1(ty, d0) >= 0) for d0 in (0, 1))
-        k0 = ty.costs.k0
-        gains = (ty.mu[0][1] - k0[1]) - (ty.mu[0][0] - k0[0]) + ty.beta * (w1[1] - w1[0])
-        return DecisionTrace(int(gains >= 0), d1_given, w1, gains)
-
-    @cached_property
-    def _traces(self) -> _PerType:
-        """Each type's _type_trace, by type index, once per config."""
-        return _PerType(self.types, self._type_trace)
 
     def decide(self, state: LatentState) -> DecisionTrace:
         if not 0 <= state.u0_type < len(self.types):
             raise LabError("state-not-in-support", f"type index {state.u0_type} out of range")
-        return self._traces[state.u0_type]
+        return self.types[state.u0_type]._trace
 
     def _grid_size(self) -> int:
         return 16 * len(self.types)
@@ -612,7 +576,7 @@ class NoLearning(ScenarioConfig):
 
 
 @dataclass(frozen=True)
-class TreatedLearningType(_Record):
+class TreatedLearningType(_Learner, _Record):
     prob: float
     prior: Prior  # pmf over the treated-arm success rate
     mu_ctrl: tuple[float, float]  # known untreated means (period 0, period 1)
@@ -620,6 +584,20 @@ class TreatedLearningType(_Record):
     beta: float = 0.9
 
     json_fields = (("prob", _NUM), ("prior", _PRIOR), ("mu_ctrl", _PAIR), ("costs", _COSTS), ("beta", _NUM))
+
+    @_once
+    def _gains(self) -> tuple[float, tuple[float, float]]:
+        """The period-0 threshold statistic, and the period-0 expectations of
+        the period-1 value untreated and treated (W1(0), E W1(1))."""
+        k0, k1 = self.costs.k0, self.costs.k1
+        w1_untreated = max(self._mean - k1[0][1], self.mu_ctrl[1] - k1[0][0])
+        w1_treated = 0.0
+        for y, post in enumerate(self._post):
+            w = _bern(y, self._mean)
+            if w > 0.0 and post is not None:
+                w1_treated += w * max(post - k1[1][1], self.mu_ctrl[1] - k1[1][0])
+        gains = (self._mean - k0[1]) - (self.mu_ctrl[0] - k0[0]) + self.beta * (w1_treated - w1_untreated)
+        return gains, (w1_untreated, w1_treated)
 
 
 @dataclass(frozen=True)
@@ -654,45 +632,37 @@ class TreatedArmLearning(ScenarioConfig):
         return rep
 
     def _warn_type(self, rep: ValidationReport, ty: TreatedLearningType, i: int) -> None:
-        b = self._beliefs[i]
         k1 = ty.costs.k1
-        _warn_edge(rep, b.mean - ty.mu_ctrl[1] - (k1[0][1] - k1[0][0]), "types[{}] period-1 gain given d0=0", i)
-        for y in (0, 1):
-            if _bern(y, b.mean) == 0.0 or not b.possible(y):
+        _warn_edge(rep, ty._mean - ty.mu_ctrl[1] - (k1[0][1] - k1[0][0]), "types[{}] period-1 gain given d0=0", i)
+        for y, post in enumerate(ty._post):
+            if _bern(y, ty._mean) == 0.0 or post is None:
                 continue
             _warn_edge(
                 rep,
-                b.post(y) - ty.mu_ctrl[1] - (k1[1][1] - k1[1][0]),
+                post - ty.mu_ctrl[1] - (k1[1][1] - k1[1][0]),
                 "types[{}] period-1 gain given d0=1, y01={}",
                 i,
                 y,
             )
-        _warn_edge(rep, b.gains()[0], "types[{}] period-0 gain", i)
-
-    @cached_property
-    def _beliefs(self) -> _PerType:
-        """Each type's _TreatedBeliefs, by type index, once per config."""
-        return _PerType(self.types, _TreatedBeliefs)
+        _warn_edge(rep, ty._gains[0], "types[{}] period-0 gain", i)
 
     def decide(self, state: LatentState) -> DecisionTrace:
         if not 0 <= state.u0_type < len(self.types):
             raise LabError("state-not-in-support", f"type index {state.u0_type} out of range")
         ty = self.types[state.u0_type]
-        b = self._beliefs[state.u0_type]
         y01 = state.po.y[0][1]
         if y01 not in (0.0, 1.0):
             raise LabError("state-not-in-support", f"binary scenario got Y_0(1) = {y01!r}")
         k1 = ty.costs.k1
-        d1_untreated = int(b.mean - ty.mu_ctrl[1] - (k1[0][1] - k1[0][0]) >= 0)
-        try:
-            post = b.post(int(y01))
-        except LabError:
+        d1_untreated = int(ty._mean - ty.mu_ctrl[1] - (k1[0][1] - k1[0][0]) >= 0)
+        post = ty._post[int(y01)]
+        if post is None:
             raise LabError(
                 "state-not-in-support",
                 f"Y_0(1) = {int(y01)} impossible under types[{state.u0_type}] prior",
             )
         d1_treated = int(post - ty.mu_ctrl[1] - (k1[1][1] - k1[1][0]) >= 0)
-        gains, continuation = b.gains()
+        gains, continuation = ty._gains
         return DecisionTrace(
             d0=int(gains >= 0),
             d1_given=(d1_untreated, d1_treated),
@@ -758,7 +728,7 @@ class LearnerClassification:
 
 
 @dataclass(frozen=True)
-class ControlLearningType(_Record):
+class ControlLearningType(_Learner, _Record):
     prob: float
     prior: Prior  # pmf over the untreated-arm success rate
     mu_treat1: float  # known mean of Y_1(1)
@@ -791,8 +761,7 @@ class ControlArmLearning(ScenarioConfig):
             if not math.isfinite(ty.ktilde1):
                 rep.add("cost-not-finite", f"ktilde1 not finite in types[{i}]", ty.ktilde1)
             if rep.ok:
-                b = self._beliefs[i]
-                l0, l1 = b.post_or_prior(0), b.post_or_prior(1)
+                l0, l1 = ty._post_or_prior(0), ty._post_or_prior(1)
                 if l0 > l1 + EXACT_TOL:
                     rep.add(
                         "posterior-not-monotone",
@@ -805,34 +774,27 @@ class ControlArmLearning(ScenarioConfig):
                 _warn_edge(rep, a - l1, "types[{}] treated-value margin at l1", i)
         return rep
 
-    @cached_property
-    def _beliefs(self) -> _PerType:
-        """Each type's _Beliefs, by type index, once per config."""
-        return _PerType(self.types, _Beliefs)
-
     def decide(self, state: LatentState) -> DecisionTrace:
         if not 0 <= state.u0_type < len(self.types):
             raise LabError("state-not-in-support", f"type index {state.u0_type} out of range")
         ty = self.types[state.u0_type]
-        b = self._beliefs[state.u0_type]
         y00 = state.po.y[0][0]
         if y00 not in (0.0, 1.0):
             raise LabError("state-not-in-support", f"binary scenario got Y_0(0) = {y00!r}")
         a = ty.mu_treat1 - ty.ktilde1
-        try:
-            l_obs = b.post(int(y00))
-        except LabError:
+        l_obs = ty._post[int(y00)]
+        if l_obs is None:
             raise LabError(
                 "state-not-in-support",
                 f"Y_0(0) = {int(y00)} impossible under types[{state.u0_type}] prior",
             )
         d1_untreated = int(a >= l_obs)
         # counterfactual history d0=1: no untreated draw was seen, beliefs stay at the prior
-        d1_treated = int(a >= b.mean)
+        d1_treated = int(a >= ty._mean)
         return DecisionTrace(
             d0=0,
             d1_given=(d1_untreated, d1_treated),
-            continuation=(max(a, l_obs), max(a, b.mean)),
+            continuation=(max(a, l_obs), max(a, ty._mean)),
             gains=None,
         )
 
@@ -860,12 +822,11 @@ class ControlArmLearning(ScenarioConfig):
         # untreated draws are exchangeable across periods, so the common trend is
         # identically zero for every type
         tau = 0.0
-        for i, ty in enumerate(self.types):
+        for ty in self.types:
             a = ty.mu_treat1 - ty.ktilde1
-            beliefs = self._beliefs[i]
-            l0 = beliefs.post_or_prior(0)
-            l1 = beliefs.post_or_prior(1)
-            mean = beliefs.mean
+            l0 = ty._post_or_prior(0)
+            l1 = ty._post_or_prior(1)
+            mean = ty._mean
             if a >= l1:
                 p_a += ty.prob
             elif a < l0:
@@ -1025,40 +986,38 @@ class StoppingType(_Record):
 
     json_fields = (("pmf", _STOPPING_PMF), ("prob", _NUM), ("k0", _NUM), ("k1", _NUM), ("beta", _NUM))
 
-
-class _TypeSums:
-    """A stopping type's pmf grouped by Y_0(0) in one pass: the y0 values of
-    positive probability in pmf order (support), and for each y0 the sums
-    over its rows of p (mass) and of p * y1 (num), added left to right in pmf
-    order as a scan of the whole pmf for that y0 would add them."""
-
-    __slots__ = ("ty", "support", "mass", "num")
-
-    def __init__(self, ty: StoppingType):
+    @_once
+    def _by_y0(self) -> tuple[tuple[float, ...], dict[float, float], dict[float, float]]:
+        """The pmf grouped by Y_0(0) in one pass: the y0 values of positive
+        probability in pmf order (support), and for each y0 the sums over its
+        rows of p (mass) and of p * y1 (num), added left to right in pmf order
+        as a scan of the whole pmf for that y0 would add them."""
         rows: dict[float, tuple[list[float], list[float]]] = {}
-        for (y0, y1), p in ty.pmf:
+        for (y0, y1), p in self.pmf:
             ps, terms = rows.setdefault(y0, ([], []))
             ps.append(p)
             terms.append(p * y1)
-        self.ty = ty
-        self.support = tuple(dict.fromkeys([y0 for (y0, _), p in ty.pmf if p > 0.0]))
-        self.mass = {y0: sum(ps) for y0, (ps, _) in rows.items()}
-        self.num = {y0: sum(terms) for y0, (_, terms) in rows.items()}
+        support = tuple(dict.fromkeys([y0 for (y0, _), p in self.pmf if p > 0.0]))
+        mass = {y0: sum(ps) for y0, (ps, _) in rows.items()}
+        num = {y0: sum(terms) for y0, (_, terms) in rows.items()}
+        return support, mass, num
 
-    def m(self, y0: float) -> float:
+    def _m(self, y0: float) -> float:
         """E[Y_1(0) | type, Y_0(0) = y0]."""
-        den = self.mass.get(y0, 0.0)
+        _, mass, num = self._by_y0
+        den = mass.get(y0, 0.0)
         if den <= 0.0:
             raise LabError("state-not-in-support", f"y0 = {y0!r} has zero probability")
-        return self.num[y0] / den
+        return num[y0] / den
 
-    def cont0(self) -> float:
+    @_once
+    def _cont0(self) -> float:
         """Expected value of continuing through period 0 (stop iff <= 0)."""
-        ty = self.ty
+        support, mass, _ = self._by_y0
         total = 0.0
-        for y0 in self.support:
-            total += self.mass[y0] * (y0 + ty.beta * max(0.0, self.m(y0) - ty.k1))
-        return total - ty.k0
+        for y0 in support:
+            total += mass[y0] * (y0 + self.beta * max(0.0, self._m(y0) - self.k1))
+        return total - self.k0
 
 
 @dataclass(frozen=True)
@@ -1094,31 +1053,18 @@ class OptimalStopping(ScenarioConfig):
             if not rep.ok:
                 continue
             taus.append(sum(p * (y1 - y0) for (y0, y1), p in ty.pmf))
-            # grouped afresh: on the shipped 2-row types the first read of
-            # the cached _sums costs more than the grouping itself
-            sums = _TypeSums(ty)
-            for y0 in sums.support:
-                _warn_edge(rep, sums.m(y0) - ty.k1, "types[{}] period-1 margin at y0={!r}", i, y0)
-            _warn_edge(rep, sums.cont0(), "types[{}] period-0 continuation value", i)
+            for y0 in ty._by_y0[0]:  # its support
+                _warn_edge(rep, ty._m(y0) - ty.k1, "types[{}] period-1 margin at y0={!r}", i, y0)
+            _warn_edge(rep, ty._cont0, "types[{}] period-0 continuation value", i)
         _check_common_trend(rep, taus)
         return rep
-
-    @cached_property
-    def _sums(self) -> tuple[_TypeSums, ...]:
-        """Each type's pmf grouped by y0, by type index, once per config."""
-        return tuple(_TypeSums(ty) for ty in self.types)
-
-    @cached_property
-    def _cont0s(self) -> tuple[float, ...]:
-        """Each type's period-0 continuation value, by type index, once per config."""
-        return tuple(sums.cont0() for sums in self._sums)
 
     def decide(self, state: LatentState) -> DecisionTrace:
         if not 0 <= state.u0_type < len(self.types):
             raise LabError("state-not-in-support", f"type index {state.u0_type} out of range")
         ty = self.types[state.u0_type]
-        mu = self._sums[state.u0_type].m(state.po.y[0][0])  # raises state-not-in-support off the grid
-        cont0 = self._cont0s[state.u0_type]
+        mu = ty._m(state.po.y[0][0])  # raises state-not-in-support off the grid
+        cont0 = ty._cont0
         return DecisionTrace(
             d0=int(cont0 <= 0),
             d1_given=(int(mu - ty.k1 <= 0), 1),
@@ -1146,14 +1092,14 @@ class OptimalStopping(ScenarioConfig):
         total_delta0 = 0.0
         p00 = 0.0
         tau = 0.0
-        for i, ty in enumerate(self.types):
+        for ty in self.types:
             tau += ty.prob * sum(p * (y1 - y0) for (y0, y1), p in ty.pmf)
-            if self._cont0s[i] <= 0.0:
+            if ty._cont0 <= 0.0:
                 continue  # the whole type stops in period 0
-            sums = self._sums[i]
-            for y0 in sums.support:
-                p = sums.mass[y0]
-                m = sums.m(y0)
+            support, mass, _ = ty._by_y0
+            for y0 in support:
+                p = mass[y0]
+                m = ty._m(y0)
                 if m - ty.k1 > 0.0:  # continues through period 1
                     total_delta0 += ty.prob * (m - y0) * p
                     p00 += ty.prob * p
@@ -1356,7 +1302,7 @@ class AtomSampler:
             y0=joint.y0[idx],
             y1=joint.y1[idx],
             po=np.take(joint.po, idx, axis=0),
-            atom_index=idx.astype(np.int64),
+            atom_index=idx,
         )
 
 

@@ -71,6 +71,22 @@ def test_validate_bad_scenario_exits_1(capsys, tmp_path):
     assert any(v["rule"] == "pmf-sum" for v in report["violations"])
 
 
+def _no_constant(name):
+    raise ValueError(f"bare {name} is not JSON")
+
+
+def test_validate_writes_non_finite_values_as_strings(capsys, tmp_path):
+    # the probabilities sum to inf, and the pmf-sum violation carries that total
+    path = tmp_path / "inf.json"
+    path.write_text('{"scenario":"roy_repeated","pmf":[[0,0,0,0,1e308],[0,0,0,1,1e308]]}')
+    code, out, _ = run(capsys, "validate", str(path))
+    assert code == 1
+    report = json.loads(out, parse_constant=_no_constant)
+    assert report["violations"] == [
+        {"rule": "pmf-sum", "message": "probabilities at pmf sum to inf, not 1", "values": ["inf"]}
+    ]
+
+
 def test_validate_malformed_json_exits_2(capsys, tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("{oops")

@@ -1,6 +1,7 @@
 """Joint-distribution builders and panel sampling."""
 
 import dataclasses
+import inspect
 import json
 import tracemalloc
 from collections import Counter
@@ -234,6 +235,22 @@ def test_draw_panel_deterministic_and_latent(shipped_joints):
         assert (p1.d0[i], p1.d1[i]) == (atom.d0, atom.d1)
         assert p1.y0[i] == atom.y0 and p1.y1[i] == atom.y1
         assert tuple(p1.po[i]) == atom.po
+
+
+def test_draw_panel_keeps_no_second_atom_index_column(shipped_joints):
+    """Building a panel allocates at most a few bytes per unit beyond the
+    panel's own columns: no int64 copy of its atom indices is made."""
+    joint = shipped_joints["stopping_informative"]
+    n = 100_000
+    tracemalloc.start()
+    try:
+        panel = draw_panel(joint, n, seed=42)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    held = sum(a.nbytes for a in (panel.d0, panel.d1, panel.y0, panel.y1, panel.po, panel.atom_index))
+    assert panel.atom_index.dtype == np.int64
+    assert peak - held < 4 * n
 
 
 def test_draw_panel_frequencies_converge(shipped_joints):
@@ -570,8 +587,9 @@ def test_posterior_mean_runs_at_most_twice_per_type(monkeypatch):
 def test_no_learning_trace_runs_once_per_type(monkeypatch):
     cfg = _wide_config(4)
     calls = Counter()
-    trace = NoLearning._type_trace
-    monkeypatch.setattr(NoLearning, "_type_trace", lambda self, ty: calls.update([id(ty)]) or trace(self, ty))
+    once = NoLearningType.__dict__["_trace"]
+    trace = once.func
+    monkeypatch.setattr(once, "func", lambda ty: calls.update([id(ty)]) or trace(ty))
     _truth_path(cfg)
     assert sorted(calls) == sorted(id(ty) for ty in cfg.types) and set(calls.values()) == {1}
 
@@ -601,9 +619,12 @@ def test_replaced_configs_get_fresh_decision_quantities():
     build_joint(cfg)
     assert cfg == fresh and hash(cfg) == hash(fresh) and repr(cfg) == repr(fresh)
     same = dataclasses.replace(cfg)
-    assert same == cfg and same._beliefs is not cfg._beliefs
-    moved = dataclasses.replace(cfg, types=(dataclasses.replace(cfg.types[0], prior=((0.1, 0.5), (0.5, 0.5))),))
-    assert moved != cfg and moved._beliefs[0].mean == 0.3 and cfg._beliefs[0].mean == 0.5
+    assert same == cfg and "_validation" in vars(cfg) and "_validation" not in vars(same)
+    ty = cfg.types[0]
+    copy = dataclasses.replace(ty)
+    assert copy == ty and "_mean" in vars(ty) and "_mean" not in vars(copy)
+    moved = dataclasses.replace(cfg, types=(dataclasses.replace(ty, prior=((0.1, 0.5), (0.5, 0.5))),))
+    assert moved != cfg and moved.types[0]._mean == 0.3 and cfg.types[0]._mean == 0.5
     state = LatentState(0, PotentialOutcomes.of(0, 1, 0, 1))
     assert decide(moved, state) == decide(TreatedArmLearning(types=moved.types), state)
 
@@ -612,6 +633,59 @@ def test_replaced_configs_get_fresh_decision_quantities():
     before = decide(nl, state)
     flipped = dataclasses.replace(nl, types=(dataclasses.replace(ty, mu=((0.2, 0.1), (0.2, 0.3))),))
     assert decide(flipped, state) != before and decide(nl, state) is before
+
+
+@pytest.mark.parametrize(
+    "make_cfg, make_ty, names, impossible",
+    [
+        (NoLearning, lambda: NoLearningType(prob=0.5, mu=((0.2, 0.9), (0.2, 0.3))), ("_trace",), None),
+        (
+            TreatedArmLearning,
+            lambda: TreatedLearningType(prob=0.5, prior=((1.0, 1.0),), mu_ctrl=(0.3, 0.5)),
+            ("_mean", "_post", "_gains"),
+            ((0, 0, 0, 0), "Y_0(1) = 0 impossible under types[1] prior"),
+        ),
+        (
+            ControlArmLearning,
+            lambda: ControlLearningType(prob=0.5, prior=((0.0, 1.0),), mu_treat1=0.6, ktilde1=0.0),
+            ("_mean", "_post"),
+            ((1, 0, 0, 0), "Y_0(0) = 1 impossible under types[1] prior"),
+        ),
+        (
+            OptimalStopping,
+            lambda: StoppingType(prob=0.5, k0=0.0, k1=0.5, beta=0.9, pmf=(((0.0, 1.0), 0.5), ((1.0, 0.0), 0.5))),
+            ("_by_y0", "_cont0"),
+            ((5.0, 0, 0, 0), "y0 = 5.0 has zero probability"),
+        ),
+    ],
+)
+def test_a_shared_type_computes_each_decision_quantity_once(monkeypatch, make_cfg, make_ty, names, impossible):
+    """A type object held twice by one config and again by a second config
+    computes each of its decision quantities once; the stored values leave
+    equality, hashing, repr and dataclasses.replace to the fields; and an
+    impossible observation still raises state-not-in-support."""
+    calls = Counter()
+    for name in names:
+        once = inspect.getattr_static(make_ty(), name)
+        monkeypatch.setattr(once, "func", lambda ty, name=name, f=once.func: calls.update([name]) or f(ty))
+    ty = make_ty()
+    cfg = make_cfg(types=(ty, ty))
+    for config in (cfg, make_cfg(types=(ty, ty))):
+        assert validate_scenario(config).ok
+        build_joint(config)
+    assert calls == Counter(names)
+    fresh = make_ty()
+    assert all(name in vars(ty) and name not in vars(fresh) for name in names)
+    assert ty == fresh and hash(ty) == hash(fresh) and repr(ty) == repr(fresh)
+    unread = make_cfg(types=(fresh, fresh))
+    assert cfg == unread and hash(cfg) == hash(unread) and repr(cfg) == repr(unread)
+    copy = dataclasses.replace(ty)
+    assert copy == ty and not any(name in vars(copy) for name in names)
+    if impossible is not None:
+        po, message = impossible
+        with pytest.raises(LabError) as err:
+            decide(cfg, LatentState(1, PotentialOutcomes.of(*po)))
+        assert str(err.value) == f"[state-not-in-support] {message}"
 
 
 def test_support_cap_is_checked_before_the_grid_is_built(monkeypatch):
