@@ -23,13 +23,20 @@ def _fmix64(z: int) -> int:
     return z ^ (z >> 31)
 
 
-def _fmix64_inplace(z: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+def _fmix64_inplace(z: np.ndarray, scratch: np.ndarray, finish: bool = True) -> np.ndarray:
     """_fmix64 on every uint64 in z, in place (uint64 arithmetic wraps mod
-    2^64, as the mask does); scratch is a buffer of z's shape."""
+    2^64, as the mask does); scratch is a buffer of z's shape.  With finish
+    false it stops before the last step (see _last_step)."""
     for shift, mul in ((30, _MIX1), (27, _MIX2)):
         np.right_shift(z, np.uint64(shift), out=scratch)
         z ^= scratch
         z *= np.uint64(mul)
+    return _last_step(z, scratch) if finish else z
+
+
+def _last_step(z: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """_fmix64's last step, z ^= z >> 31, in place.  z >> 31 has its top 31
+    bits zero, so the step leaves every word's top 31 bits as they were."""
     np.right_shift(z, np.uint64(31), out=scratch)
     z ^= scratch
     return z
@@ -45,11 +52,13 @@ def to_unit(words: np.ndarray) -> np.ndarray:
     return (words >> np.uint64(11)) * (2.0**-53)
 
 
-def word_chunks(seed: int, n: int, chunk: int, offset: int = 0):
+def word_chunks(seed: int, n: int, chunk: int, offset: int = 0, finish: bool = True):
     """The SplitMix64 words of draws offset..offset+n-1 of stream seed, at
     most chunk at a time, each with its first draw's position among the n;
     to_unit of the words gives their uniforms.  Two buffers of chunk words
-    serve every chunk, so each yielded array is overwritten by the next."""
+    serve every chunk, so each yielded array is overwritten by the next.
+    With finish false the words stop before _fmix64's last step, which
+    _last_step then applies to any of them."""
     steps = np.arange(1, min(chunk, n) + 1, dtype=np.uint64) * np.uint64(_GOLDEN)
     words = np.empty_like(steps)
     scratch = np.empty_like(steps)
@@ -57,7 +66,7 @@ def word_chunks(seed: int, n: int, chunk: int, offset: int = 0):
         size = min(chunk, n - start)
         # draw i = offset+start+j has word seed + (i+1)*GOLDEN mod 2^64
         np.add(steps[:size], np.uint64((seed + (offset + start) * _GOLDEN) & _MASK), out=words[:size])
-        yield start, _fmix64_inplace(words[:size], scratch[:size])
+        yield start, _fmix64_inplace(words[:size], scratch[:size], finish)
 
 
 def uniforms(seed: int, n: int, offset: int = 0) -> np.ndarray:

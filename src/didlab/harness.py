@@ -343,6 +343,21 @@ def panel_csv_lines(panel: Panel, emit_latent: bool):
     yield from _panel_rows(panel, emit_latent)
 
 
+def _check_finite_panel(panel: Panel, emit_latent: bool) -> None:
+    """Raise non-finite, naming the unit and column, at the first nan or inf
+    among the floats panel.csv would hold for panel (y0, y1, and the latent
+    columns under emit_latent): read_panel_csv rejects such a file."""
+    latent = emit_latent and panel.has_latent
+    finite = np.isfinite(panel.y0) & np.isfinite(panel.y1)
+    for col in panel.po.T if latent else ():
+        finite &= np.isfinite(col)
+    if not finite.all():
+        unit = int(np.argmin(finite))
+        values = [panel.y0[unit], panel.y1[unit], *(panel.po[unit] if latent else ())]
+        name, value = next((name, float(v)) for name, v in zip(PANEL_HEADER_LATENT[3:], values) if not math.isfinite(v))
+        raise LabError("non-finite", f"panel unit {unit}, column {name}: {value!r} is not a finite float")
+
+
 def sampled_panel_csv(sampler: AtomSampler, n: int, seed: int, emit_latent: bool):
     """Yield the text of panel.csv for the n draws of stream seed, header
     first, then one newline-terminated block per sampler chunk.  The bytes
@@ -371,7 +386,10 @@ def write_outputs(report: SummaryReport, panels, out_dir) -> list:
     replication 0 from report.sampler, streamed chunk by chunk, and without
     a sampler it is not written.  All files are UTF-8 with LF endings and
     17-significant-digit floats; identical reports produce byte-identical
-    directories."""
+    directories.  A panel with a nan or inf to write raises non-finite
+    before any file is written."""
+    if panels:
+        _check_finite_panel(panels[0], report.emit_latent)
     out = Path(out_dir)
     try:
         out.mkdir(parents=True, exist_ok=True)

@@ -53,8 +53,10 @@ from .errors import LabError
 MAX_ATOMS = 1_000_000
 # AtomSampler's guide table has the smallest power-of-two bucket count that is
 # at least the atom count and at least GUIDE_MIN_BUCKETS, so a draw's walk
-# crosses at most one atom on average.
-GUIDE_MIN_BUCKETS = 2**10
+# crosses at most one atom on average.  2^12 buckets leave at most ~2.3% of
+# them mixed on the shipped joints (8.7% at 2^10); 2^14 timed slower, as the
+# histogram grows.
+GUIDE_MIN_BUCKETS = 2**12
 # Walk steps before the draws still walking (many tiny atoms in one bucket)
 # fall back to binary search.
 GUIDE_WALK_STEPS = 16
@@ -66,8 +68,9 @@ COUNT_CHUNK = 2**14
 # so the histogram costs a fixed O(n) pass plus that share of the lookup.
 # Timed at n = 100,000 on random joints (2 cores, numpy 2.4): it is 0.6-0.9x
 # the per-draw time up to a share of 0.09, even near 0.14-0.18, and 1.2-1.5x
-# from 0.25 on.  The shipped joints' shares are at most 0.087; the 4,800-atom
-# wide_support joints' are about 0.4.
+# from 0.25 on (timed before buckets were read ahead of fmix64's last step).
+# The shipped joints' shares are at most 0.023; the 4,800-atom wide_support
+# joints' are about 0.4.
 COUNT_MIXED_MAX = 1 / 8
 
 Prior = tuple[tuple[float, float], ...]  # ((theta, weight), ...)
@@ -1229,7 +1232,7 @@ class AtomSampler:
     every draw in it to that entry's atom (clamped to the last).  counts()
     uses this to count such "pure" buckets from a histogram of the draws'
     buckets; only draws in "mixed" buckets, those holding an atom edge, go
-    through index().
+    through index(), in batches of up to COUNT_CHUNK draws.
     """
 
     def __init__(self, joint: JointDistribution):
@@ -1277,15 +1280,34 @@ class AtomSampler:
             for _, idx in self.index_chunks(n, seed):
                 counts += np.bincount(idx, minlength=k)
             return counts
-        # floor(u * m) of u = (word >> 11) * 2^-53 is word >> (64 - log2 m)
+        # floor(u * m) of u = (word >> 11) * 2^-53 is word >> (64 - log2 m),
+        # the word's top log2 m bits (at most 31 for any joint that fits in
+        # memory), which fmix64's last step keeps: so buckets come from the
+        # words before that step, and only the mixed draws' words, held
+        # across chunks, take it
         shift = np.uint64(65 - self._m.bit_length())
         hist = np.zeros(self._m, dtype=np.int64)
-        buckets = np.empty(min(COUNT_CHUNK, n), dtype=np.uint64)
-        for _, words in _rng.word_chunks(seed, n, COUNT_CHUNK):
+        size = min(COUNT_CHUNK, n)
+        buckets = np.empty(size, dtype=np.uint64)
+        held = np.empty(size, dtype=np.uint64)
+        n_held = 0
+
+        def flush():
+            # buckets, read by now, serves as the last step's scratch
+            words = _rng._last_step(held[:n_held], buckets[:n_held])
+            return np.bincount(self.index(_rng.to_unit(words)), minlength=k)
+
+        for _, words in _rng.word_chunks(seed, n, COUNT_CHUNK, finish=False):
             bucket = np.right_shift(words, shift, out=buckets[: words.size]).view(np.int64)
             hist += np.bincount(bucket, minlength=self._m)
             mixed = words[self._mixed[bucket]]
-            counts += np.bincount(self.index(_rng.to_unit(mixed)), minlength=k)
+            if n_held + mixed.size > size:
+                counts += flush()
+                n_held = 0
+            held[n_held : n_held + mixed.size] = mixed
+            n_held += mixed.size
+        if n_held:
+            counts += flush()
         pure = ~self._mixed
         np.add.at(counts, self._bucket_atom[pure], hist[pure])
         return counts
@@ -1293,7 +1315,7 @@ class AtomSampler:
     def panel(self, n: int, seed: int) -> Panel:
         """The n draws of stream seed as a panel with latent columns."""
         if n < 1:
-            raise ValueError(f"panel size must be >= 1, got {n}")
+            raise LabError("schema-error", f"panel size must be >= 1, got {n}")
         idx = self.index(_rng.uniforms(seed, n))
         joint = self.joint
         return Panel(

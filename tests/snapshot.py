@@ -7,6 +7,8 @@ checkouts and diff the two files: a change that keeps every output
 byte-identical leaves them equal.  The artifacts, for each config:
 
   joint/        build_joint's columns and u0_type (names, dtypes and bytes)
+  counts/       AtomSampler(joint).counts(n, seed) (dtype and bytes) at each
+                (n, seed) of COUNTS_SETTINGS
   validate/     the validation report JSON, warnings in order (didlab validate)
   truth/        oracle_block's JSON and the warnings (didlab truth)
   simulate/     the panel CSV of didlab simulate
@@ -52,9 +54,11 @@ from didlab.diagnostics import (  # noqa: E402
 )
 from didlab.errors import LabError  # noqa: E402
 from didlab.harness import parse_config, read_panel_csv  # noqa: E402
-from didlab.scenarios import build_joint  # noqa: E402
+from didlab.scenarios import AtomSampler, build_joint  # noqa: E402
 
 CORPUS_SEEDS = 3
+# the (n, seed) of the counts/ artifacts
+COUNTS_SETTINGS = ((1, 0), (7, 13), (100_000, 2**64 - 1))
 # the experiment+ overrides
 PLUS_SETTINGS = ("--n", "2000", "--reps", "20", "--seed", "5", "--emit-latent")
 
@@ -151,8 +155,7 @@ def _run(*argv: str) -> tuple[int, bytes, bytes]:
     return code, out.getvalue().encode(), err.getvalue().encode()
 
 
-def _joint_bytes(text: str) -> bytes:
-    joint = build_joint(parse_config(text).scenario)
+def _joint_bytes(joint) -> bytes:
     columns = {"u0_type": joint.u0_type, **joint.arrays()}
     return b"".join(name.encode() + arr.dtype.str.encode() + arr.tobytes() for name, arr in columns.items())
 
@@ -198,7 +201,12 @@ def snapshot() -> list[str]:
         for label, text in _configs().items():
             path = tmp / "config.json"
             path.write_text(text, encoding="utf-8")
-            lines.append(f"joint/{label} {_sha(_joint_bytes(text))}")
+            joint = build_joint(parse_config(text).scenario)
+            lines.append(f"joint/{label} {_sha(_joint_bytes(joint))}")
+            sampler = AtomSampler(joint)
+            for n, seed in COUNTS_SETTINGS:
+                counts = sampler.counts(n, seed)
+                lines.append(f"counts/{label}/{n},{seed} {_sha(counts.dtype.str.encode() + counts.tobytes())}")
             code, out, _ = _run("validate", str(path))
             lines.append(f"validate/{label} {code} {_sha(out)}")
             code, out, err = _run("truth", str(path))

@@ -4,6 +4,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from didlab import _jsonio, _rng
 from didlab.core import (
@@ -143,6 +145,25 @@ def test_word_chunks_are_the_stream_across_chunk_edges(seed, n, chunk):
     assert got == [_rng.uniform_at(seed, i) for i in range(n)]
     assert got == _rng.uniforms(seed, n).tolist()
     assert _rng.uniforms(seed, 4, offset=n).tolist() == [_rng.uniform_at(seed, n + i) for i in range(4)]
+
+
+@given(
+    st.one_of(st.sampled_from([0, 2**63, 2**64 - 1]), st.integers(0, 2**64 - 1)),
+    st.integers(1, 60),
+    st.integers(1, 16),
+    st.one_of(st.just(0), st.integers(0, 2**64)),
+)
+@settings(max_examples=100, deadline=None)
+def test_words_before_the_last_step_keep_the_top_31_bits(seed, n, chunk, offset):
+    finished = [w.copy() for _, w in _rng.word_chunks(seed, n, chunk, offset)]
+    starts = []
+    for (start, early), done in zip(_rng.word_chunks(seed, n, chunk, offset, finish=False), finished, strict=True):
+        starts.append(start)
+        assert np.array_equal(early >> np.uint64(33), done >> np.uint64(33))
+        assert np.array_equal(_rng._last_step(early, np.empty_like(early)), done)
+    assert starts == list(range(0, n, chunk))
+    want = [_rng._fmix64(seed + (offset + i + 1) * _rng._GOLDEN) for i in range(n)]
+    assert np.concatenate(finished).tolist() == want
 
 
 @pytest.mark.parametrize("seed", [0, 2**64 - 1])

@@ -408,6 +408,38 @@ def test_write_outputs_prefers_given_panel(small_report, tmp_path):
     assert (tmp_path / "panel.csv").read_text() == "unit,d0,d1,y0,y1\n0,0,1,0.5,1.0\n1,1,1,2.0,3.0\n"
 
 
+@pytest.mark.parametrize(
+    "emit_latent, unit, col, value, name",
+    [
+        (False, 0, "y0", np.nan, "y0"),
+        (False, 1, "y1", np.inf, "y1"),
+        (True, 2, "po", -np.inf, "y10"),
+    ],
+)
+def test_write_outputs_rejects_a_non_finite_panel_before_writing(
+    small_report, shipped_joints, tmp_path, emit_latent, unit, col, value, name
+):
+    report = dataclasses.replace(small_report[0], emit_latent=emit_latent)
+    panel = draw_panel(shipped_joints["stopping_informative"], 4, seed=1)
+    if col == "po":
+        panel.po[unit, 2] = value
+    else:
+        getattr(panel, col)[unit] = value
+    panel.po[3, 0] = np.nan  # a later unit's latent value: not the first bad one
+    with pytest.raises(LabError) as err:
+        write_outputs(report, [panel], tmp_path / "out")
+    assert err.value.code == "non-finite"
+    assert err.value.message == f"[non-finite] panel unit {unit}, column {name}: {value!r} is not a finite float"
+    assert not (tmp_path / "out").exists()
+
+
+def test_write_outputs_ignores_latent_values_it_does_not_write(small_report, tmp_path):
+    report, _ = small_report
+    panel = Panel(d0=[0], d1=[1], y0=[0.5], y1=[1.0], po=[[np.nan, np.inf, 0.5, 1.0]])
+    write_outputs(report, [panel], tmp_path)
+    assert (tmp_path / "panel.csv").read_text() == "unit,d0,d1,y0,y1\n0,0,1,0.5,1.0\n"
+
+
 # --- panel csv round trips ----------------------------------------------------------
 
 

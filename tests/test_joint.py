@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from didlab import corpus, scenarios
+from didlab import _rng, corpus, scenarios
 from didlab._rng import uniforms
 from didlab.core import EXACT_TOL, JointDistribution, LatentState, PotentialOutcomes, validate_scenario
 from didlab.errors import LabError
@@ -81,12 +81,13 @@ def test_every_atom_follows_the_decision_rule(shipped, seeds):
             assert (atom.y0, atom.y1) == (flat[atom.d0], flat[2 + atom.d1]), label
 
 
-def _wide_config(seed):
-    """A 4,800-atom no_learning config: 300 types of 16 atoms each."""
+def _wide_config(seed, n_types=300):
+    """A no_learning config of n_types types of 16 atoms each: 4,800 atoms
+    by default."""
     rng = np.random.default_rng(seed)
     types = tuple(
-        NoLearningType(prob=1 / 300, mu=tuple(map(tuple, rng.uniform(0.05, 0.95, (2, 2)))))
-        for _ in range(300)
+        NoLearningType(prob=1 / n_types, mu=tuple(map(tuple, rng.uniform(0.05, 0.95, (2, 2)))))
+        for _ in range(n_types)
     )
     return NoLearning(types=types)
 
@@ -389,6 +390,76 @@ def test_counts_index_only_the_draws_in_mixed_buckets(shipped_joints, monkeypatc
     got = np.concatenate(seen)
     assert np.array_equal(np.sort(got), np.sort(u[in_mixed]))
     assert 0 < got.size < n / 50
+
+
+def test_counts_flush_the_mixed_draws_many_times(shipped_joints, monkeypatch):
+    # a 7-word buffer fills again and again at a mixed-bucket share near 2%
+    joint = shipped_joints["treated_arm_learning"]
+    assert len(joint) == 96
+    monkeypatch.setattr(scenarios, "COUNT_CHUNK", 7)
+    sizes = []
+    index = AtomSampler.index
+    monkeypatch.setattr(AtomSampler, "index", lambda self, u: sizes.append(u.size) or index(self, u))
+    for seed in (0, 2**63, 2**64 - 1):
+        sizes.clear()
+        assert AtomSampler(joint).counts(20_000, seed).tolist() == brute_counts(joint, 20_000, seed), seed
+        assert len(sizes) > 40 and max(sizes) <= 7
+
+
+def test_counts_look_up_the_finished_words_of_mixed_draws():
+    # an atom edge between draw 0's uniform before fmix64's last step and
+    # after it: the two share a bucket, so only the finished one is right
+    seed = 11
+    early = next(_rng.word_chunks(seed, 1, 1, finish=False))[1].copy()
+    before, after = float(_rng.to_unit(early)[0]), _rng.uniform_at(seed, 0)
+    edge = (before + after) / 2
+    assert min(before, after) < edge < max(before, after)
+    joint = _joint_of([edge, 1.0 - edge])
+    assert AtomSampler(joint)._use_histogram
+    want = [0, 1] if after >= edge else [1, 0]
+    assert AtomSampler(joint).counts(1, seed).tolist() == want == brute_counts(joint, 1, seed)
+
+
+def test_counts_histogram_of_a_joint_the_finer_guide_moved_there(monkeypatch):
+    joint = build_joint(_wide_config(3, n_types=30))
+    assert len(joint) == 480
+    sampler = AtomSampler(joint)
+    assert sampler._m == scenarios.GUIDE_MIN_BUCKETS == 2**12 and sampler._use_histogram
+    for n, seed in ((1, 0), (7, 13), (5_000, 2**64 - 1)):
+        assert sampler.counts(n, seed).tolist() == brute_counts(joint, n, seed), (n, seed)
+    # with the guide table of 2^10 buckets it took the per-draw side
+    monkeypatch.setattr(scenarios, "GUIDE_MIN_BUCKETS", 2**10)
+    assert not AtomSampler(joint)._use_histogram
+
+
+@pytest.mark.parametrize("n_types", [30, 300])
+def test_counts_memory_does_not_grow_with_n(n_types):
+    # 480 atoms take the histogram, with about 12% of the draws mixed, so
+    # both n fill the mixed-draw buffer; 4,800 atoms take the per-draw side
+    sampler = AtomSampler(build_joint(_wide_config(1, n_types)))
+    assert sampler._use_histogram == (n_types == 30)
+    peaks = []
+    for n in (200_000, 2_000_000):
+        tracemalloc.start()
+        try:
+            counts = sampler.counts(n, seed=5)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert int(counts.sum()) == n
+    # an O(n) array would add megabytes; a few KiB come and go with the
+    # sizes of the walks in index()
+    assert peaks[1] <= peaks[0] + 64 * 1024, peaks
+
+
+@pytest.mark.parametrize("n", [0, -3])
+def test_a_panel_of_fewer_than_one_unit_is_a_lab_error(shipped_joints, n):
+    joint = shipped_joints["stopping_informative"]
+    with pytest.raises(LabError) as err:
+        draw_panel(joint, n, seed=1)
+    assert err.value.code == "schema-error"
+    assert err.value.message == f"[schema-error] panel size must be >= 1, got {n}"
+    assert AtomSampler(joint).counts(0, seed=1).tolist() == [0] * len(joint)
 
 
 @st.composite
