@@ -337,23 +337,28 @@ def _panel_rows(panel: Panel, emit_latent: bool):
 def panel_csv_lines(panel: Panel, emit_latent: bool):
     """Yield panel.csv lines (no trailing newline).  Latent columns need the
     panel to carry potential outcomes."""
-    if emit_latent and not panel.has_latent:
-        raise LabError("latent-required", "panel has no latent columns to emit")
+    _check_latent(panel, emit_latent)
     yield _panel_header(emit_latent)
     yield from _panel_rows(panel, emit_latent)
 
 
-def _check_finite_panel(panel: Panel, emit_latent: bool) -> None:
-    """Raise non-finite, naming the unit and column, at the first nan or inf
-    among the floats panel.csv would hold for panel (y0, y1, and the latent
-    columns under emit_latent): read_panel_csv rejects such a file."""
-    latent = emit_latent and panel.has_latent
+def _check_latent(panel: Panel, emit_latent: bool) -> None:
+    if emit_latent and not panel.has_latent:
+        raise LabError("latent-required", "panel has no latent columns to emit")
+
+
+def _check_panel(panel: Panel, emit_latent: bool) -> None:
+    """Raise latent-required if emit_latent asks for latent columns panel
+    lacks, then non-finite, naming the unit and column, at the first nan or
+    inf among the floats panel.csv would hold for panel (y0, y1, and the
+    latent columns under emit_latent): read_panel_csv rejects such a file."""
+    _check_latent(panel, emit_latent)
     finite = np.isfinite(panel.y0) & np.isfinite(panel.y1)
-    for col in panel.po.T if latent else ():
+    for col in panel.po.T if emit_latent else ():
         finite &= np.isfinite(col)
     if not finite.all():
         unit = int(np.argmin(finite))
-        values = [panel.y0[unit], panel.y1[unit], *(panel.po[unit] if latent else ())]
+        values = [panel.y0[unit], panel.y1[unit], *(panel.po[unit] if emit_latent else ())]
         name, value = next((name, float(v)) for name, v in zip(PANEL_HEADER_LATENT[3:], values) if not math.isfinite(v))
         raise LabError("non-finite", f"panel unit {unit}, column {name}: {value!r} is not a finite float")
 
@@ -386,10 +391,11 @@ def write_outputs(report: SummaryReport, panels, out_dir) -> list:
     replication 0 from report.sampler, streamed chunk by chunk, and without
     a sampler it is not written.  All files are UTF-8 with LF endings and
     17-significant-digit floats; identical reports produce byte-identical
-    directories.  A panel with a nan or inf to write raises non-finite
-    before any file is written."""
+    directories.  A panel with a nan or inf to write raises non-finite, and
+    one without the latent columns emit_latent asks for latent-required,
+    before the directory is created."""
     if panels:
-        _check_finite_panel(panels[0], report.emit_latent)
+        _check_panel(panels[0], report.emit_latent)
     out = Path(out_dir)
     try:
         out.mkdir(parents=True, exist_ok=True)

@@ -1192,7 +1192,9 @@ def _decided_cells(config: ScenarioConfig, u0_type: np.ndarray, po: np.ndarray) 
     """2 * d0 + d1 of each row, from config.decide run once per group of
     rows that share the type and the read columns.  A stable sort on those
     keys puts each group's first row at its head; the rule runs on those
-    heads in row order."""
+    heads in row order.  Each head's path is read off its trace as
+    realized() would give it, and a TreatmentPair is built only to raise
+    for a path that is not 0/1."""
     keys = [po[:, c] for c in config.reads]
     order = np.lexsort((*keys[::-1], u0_type))
     head = np.empty(len(order), dtype=bool)
@@ -1207,13 +1209,26 @@ def _decided_cells(config: ScenarioConfig, u0_type: np.ndarray, po: np.ndarray) 
     rows = first[by_row]
     codes = []
     for u, y in zip(u0_type[rows].tolist(), po[rows].tolist()):
-        tr = config.decide(LatentState(u, PotentialOutcomes.of(*y))).realized()
-        codes.append(2 * tr.d0 + tr.d1)
+        tr = config.decide(LatentState(u, PotentialOutcomes.of(*y)))
+        d0 = tr.d0
+        d1 = tr.d1_given[d0]
+        if d0 not in (0, 1) or d1 not in (0, 1):
+            TreatmentPair(d0, d1)  # raises realized()'s ValueError
+        codes.append(2 * d0 + d1)
     group_code = np.empty(len(first), dtype=np.int8)
     group_code[by_row] = codes
     cell = np.empty(len(order), dtype=np.int8)
     cell[order] = group_code[np.cumsum(head) - 1]
     return cell
+
+
+def _guide_table(cdf: np.ndarray, m: int) -> np.ndarray:
+    """The guide table of m buckets over a nondecreasing, nonnegative cdf,
+    by the counting pass AtomSampler describes: np.searchsorted(cdf,
+    np.arange(m + 1) / m, side="right").  Values past 1, or an overflowed
+    inf, count toward no entry (bin m + 1)."""
+    first = np.minimum(np.ceil(cdf * m), m + 1).astype(np.intp)
+    return np.cumsum(np.bincount(first, minlength=m + 2)[: m + 1])
 
 
 class AtomSampler:
@@ -1226,27 +1241,39 @@ class AtomSampler:
     clamped to the last atom.  A Chen-Asau guide table (indexed search, AIIE
     Trans. 6(2), 1974) stores that atom for each bucket edge b/m; a draw
     starts at its bucket's entry and walks forward.  m is a power of two, so
-    u * m and b/m are exact.
+    u * m, b/m and each cdf value times m are exact.  Entry b, the number of
+    cdf values <= b/m, comes from one counting pass (_guide_table): a cdf
+    value c counts toward every entry from ceil(c * m) on, so the table is
+    the cumulative sum of a bincount of those ceilings, in O(m + atoms).
 
     The atom is monotone in u, so a bucket whose two edge entries agree sends
     every draw in it to that entry's atom (clamped to the last).  counts()
     uses this to count such "pure" buckets from a histogram of the draws'
     buckets; only draws in "mixed" buckets, those holding an atom edge, go
     through index(), in batches of up to COUNT_CHUNK draws.
+
+    Raises invalid-scenario for a joint with no atoms or a negative
+    probability, and non-finite for a nan or infinite one.
     """
 
     def __init__(self, joint: JointDistribution):
-        if len(joint) == 0:
-            raise ValueError("cannot sample from an empty joint")
+        prob = joint.prob
+        if len(prob) == 0:
+            raise LabError("invalid-scenario", "cannot sample from a joint with no atoms")
+        if not np.isfinite(prob).all():
+            raise LabError("non-finite", f"atom {int(np.argmin(np.isfinite(prob)))} has a non-finite probability")
+        if (prob < 0).any():
+            raise LabError("invalid-scenario", f"atom {int(np.argmax(prob < 0))} has a negative probability")
         self.joint = joint
+        cdf = np.cumsum(prob)
         # the inf sentinel stops every walk at index len(joint)
-        self._cdf = np.append(np.cumsum(joint.prob), np.inf)
+        self._cdf = np.append(cdf, np.inf)
         self._m = max(GUIDE_MIN_BUCKETS, 1 << (len(joint) - 1).bit_length())
         # entry b serves u in [b/m, (b+1)/m); entry m serves u = 1
-        self._guide = np.searchsorted(self._cdf, np.arange(self._m + 1) / self._m, side="right")
+        self._guide = _guide_table(cdf, self._m)
         self._mixed = self._guide[:-1] != self._guide[1:]
         self._bucket_atom = np.minimum(self._guide[:-1], len(joint) - 1)
-        self._use_histogram = self._mixed.mean() <= COUNT_MIXED_MAX
+        self._use_histogram = np.count_nonzero(self._mixed) / self._m <= COUNT_MIXED_MAX
 
     def index(self, u: np.ndarray) -> np.ndarray:
         """The atom index of each uniform in u."""

@@ -5,8 +5,8 @@ plain tuples of atoms() below, on purpose: these must not share code paths
 (or numpy reductions) with the oracle module they check.  brute_joint
 enumerates a scenario's latent grid point by point, apart from the
 library's per-type numpy blocks.  The exceptions are the old
-implementations kept as bit references (brute_read_panel and the masked_*
-cell sums at the end).
+implementations kept as bit references (brute_guide, brute_read_panel and
+the masked_* cell sums at the end).
 """
 
 from bisect import bisect_right
@@ -351,6 +351,15 @@ def brute_counts(joint, n, seed):
     for i in range(n):
         counts[min(bisect_right(cdf, uniform_at(seed, i)), len(cdf) - 1)] += 1
     return counts
+
+
+def brute_guide(joint, m):
+    """AtomSampler's guide table of m buckets as it was before its counting
+    pass, one binary search per bucket edge b/m over the cdf and its inf
+    sentinel.  Kept verbatim as the reference the table must match, dtype
+    and values."""
+    cdf = np.append(np.cumsum(joint.prob), np.inf)
+    return np.searchsorted(cdf, np.arange(m + 1) / m, side="right")
 
 
 def brute_read_panel(path):

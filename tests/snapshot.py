@@ -7,6 +7,7 @@ checkouts and diff the two files: a change that keeps every output
 byte-identical leaves them equal.  The artifacts, for each config:
 
   joint/        build_joint's columns and u0_type (names, dtypes and bytes)
+  guide/        AtomSampler(joint)._guide, its guide table (dtype and bytes)
   counts/       AtomSampler(joint).counts(n, seed) (dtype and bytes) at each
                 (n, seed) of COUNTS_SETTINGS
   validate/     the validation report JSON, warnings in order (didlab validate)
@@ -204,6 +205,7 @@ def snapshot() -> list[str]:
             joint = build_joint(parse_config(text).scenario)
             lines.append(f"joint/{label} {_sha(_joint_bytes(joint))}")
             sampler = AtomSampler(joint)
+            lines.append(f"guide/{label} {_sha(sampler._guide.dtype.str.encode() + sampler._guide.tobytes())}")
             for n, seed in COUNTS_SETTINGS:
                 counts = sampler.counts(n, seed)
                 lines.append(f"counts/{label}/{n},{seed} {_sha(counts.dtype.str.encode() + counts.tobytes())}")

@@ -433,6 +433,16 @@ def test_write_outputs_rejects_a_non_finite_panel_before_writing(
     assert not (tmp_path / "out").exists()
 
 
+def test_write_outputs_rejects_a_panel_without_latent_columns_before_writing(small_report, tmp_path):
+    report = dataclasses.replace(small_report[0], emit_latent=True)
+    panel = Panel(d0=[0], d1=[1], y0=[0.5], y1=[1.0])
+    with pytest.raises(LabError) as err:
+        write_outputs(report, [panel], tmp_path / "out")
+    assert err.value.code == "latent-required"
+    assert err.value.message == "[latent-required] panel has no latent columns to emit"
+    assert not (tmp_path / "out").exists()
+
+
 def test_write_outputs_ignores_latent_values_it_does_not_write(small_report, tmp_path):
     report, _ = small_report
     panel = Panel(d0=[0], d1=[1], y0=[0.5], y1=[1.0], po=[[np.nan, np.inf, 0.5, 1.0]])

@@ -20,6 +20,7 @@ from didlab.scenarios import (
     AtomSampler,
     ControlArmLearning,
     ControlLearningType,
+    DecisionTrace,
     NoLearning,
     NoLearningType,
     OptimalStopping,
@@ -33,7 +34,7 @@ from didlab.scenarios import (
     scenario_from_json,
 )
 
-from _brute import atoms, brute_cells, brute_counts, brute_joint
+from _brute import atoms, brute_cells, brute_counts, brute_guide, brute_joint
 
 
 def test_all_shipped_joints_are_tight(shipped, shipped_joints):
@@ -143,6 +144,24 @@ def test_decide_runs_once_per_distinct_state_it_reads(monkeypatch, make, calls_p
     types = len(cfg.types)
     assert len(calls) <= calls_per_type * types and len(set(calls)) == len(calls)
     assert {u for u, _ in calls} == set(range(types))
+
+
+@pytest.mark.parametrize(
+    "trace, message",
+    [
+        (DecisionTrace(0, (2, 0), (0.0, 0.0), None), "TreatmentPair(d0=0, d1=2)"),
+        (DecisionTrace(-1, (0, 1), (0.0, 0.0), None), "TreatmentPair(d0=-1, d1=1)"),
+    ],
+)
+def test_a_rule_with_a_path_that_is_not_0_1_raises_the_pair_error(monkeypatch, trace, message):
+    """The build reads each path off its trace, and still raises what
+    realized() raises for one that is not 0/1."""
+    with pytest.raises(ValueError) as want:
+        trace.realized()
+    monkeypatch.setattr(NoLearning, "decide", lambda self, state: trace)
+    with pytest.raises(ValueError) as err:
+        build_joint(_wide_config(1, n_types=2))
+    assert str(err.value) == str(want.value) == f"treatment indicators must be 0/1, got {message}"
 
 
 def _rejects(cfg, state):
@@ -285,9 +304,15 @@ def _edge_uniforms(joint):
     ])
 
 
+def _assert_guide_is_the_binary_search(sampler, label):
+    want = brute_guide(sampler.joint, sampler._m)
+    assert sampler._guide.dtype == want.dtype and np.array_equal(sampler._guide, want), label
+
+
 def _assert_sampler_matches_reference(joint, label, seeds=(1, 2, 3)):
     assert len(joint) <= 2**14 and scenarios.GUIDE_MIN_BUCKETS <= 2**14
     sampler = AtomSampler(joint)
+    _assert_guide_is_the_binary_search(sampler, label)
     for u in (_edge_uniforms(joint), *(uniforms(seed, 5_000) for seed in seeds)):
         assert np.array_equal(sampler.index(u), _reference_index(joint, u)), label
 
@@ -321,6 +346,61 @@ def _crowded_joint():
     prob = np.full(k, 1e-6 / (k - 1))
     prob[-1] = 1.0 - 1e-6
     return _joint_of(prob)
+
+
+def test_guide_is_the_binary_search():
+    # the shipped, corpus and wide no_learning joints are checked with
+    # their draws in test_sampler_index_is_the_binary_search
+    m = scenarios.GUIDE_MIN_BUCKETS
+    cases = dict(
+        wide_treated=build_joint(_wide_treated_config(1)),
+        zeros=_joint_of([0.0, 0.25, 0.0, 0.0, 0.5, 0.0, 0.25, 0.0]),
+        # cdf 1 - 2^-53 and 1 + 2^-52, one ulp either side of 1
+        ulp_below=_joint_of([0.5, 0.5 - 2.0**-53]),
+        ulp_above=_joint_of([0.5, 0.5 + 2.0**-52]),
+        # cdf 3/m, 1/2, 3/4 and 1, each on a bucket edge
+        on_edges=_joint_of([3 / m, 0.5 - 3 / m, 0.25, 0.25]),
+        one_atom=_joint_of([1.0]),
+        crowded=_crowded_joint(),
+        deficit=_joint_of([0.3, 0.6]),
+        # m atoms fill the smallest table; one more doubles it
+        full=_joint_of(np.full(m, 1 / m)),
+        one_over=_joint_of(np.random.default_rng(0).dirichlet(np.ones(m + 1))),
+    )
+    assert np.cumsum(cases["ulp_below"].prob)[-1] == np.nextafter(1.0, 0.0)
+    assert np.cumsum(cases["ulp_above"].prob)[-1] == np.nextafter(1.0, 2.0)
+    assert AtomSampler(cases["one_over"])._m == 2 * m
+    for label, joint in cases.items():
+        _assert_guide_is_the_binary_search(AtomSampler(joint), label)
+
+
+@pytest.mark.parametrize("m", [scenarios.GUIDE_MIN_BUCKETS, 2 * scenarios.GUIDE_MIN_BUCKETS])
+def test_guide_table_with_more_atoms_than_buckets(m):
+    # the sampler never builds a table smaller than its atom count; the
+    # counting pass needs no such bound
+    rng = np.random.default_rng(m)
+    prob = rng.exponential(size=3 * m)
+    prob[rng.random(3 * m) < 0.5] = 0.0
+    for joint in (_joint_of(prob / prob.sum()), _crowded_joint()):
+        want = brute_guide(joint, m)
+        got = scenarios._guide_table(np.cumsum(joint.prob), m)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+@pytest.mark.parametrize(
+    "prob, code, message",
+    [
+        ([], "invalid-scenario", "cannot sample from a joint with no atoms"),
+        ([0.5, -0.25, 0.75], "invalid-scenario", "atom 1 has a negative probability"),
+        ([0.5, 0.25, np.nan, 0.25], "non-finite", "atom 2 has a non-finite probability"),
+        ([np.inf, -0.5], "non-finite", "atom 0 has a non-finite probability"),
+    ],
+)
+def test_sampler_rejects_a_joint_it_cannot_sample(prob, code, message):
+    with pytest.raises(LabError) as err:
+        AtomSampler(_joint_of(prob))
+    assert err.value.code == code
+    assert err.value.message == f"[{code}] {message}"
 
 
 def test_sampler_index_where_the_cdf_ends_below_one():
@@ -479,8 +559,10 @@ def test_counts_match_the_draw_by_draw_reference(prob, n, seed, chunk):
     joint = _joint_of(prob)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(scenarios, "COUNT_CHUNK", chunk)
-        counts = AtomSampler(joint).counts(n, seed)
+        sampler = AtomSampler(joint)
+        counts = sampler.counts(n, seed)
     assert counts.tolist() == brute_counts(joint, n, seed)
+    _assert_guide_is_the_binary_search(sampler, "drawn")
 
 
 # --- config serialization ----------------------------------------------------
