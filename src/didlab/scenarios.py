@@ -30,7 +30,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
-from itertools import product
+from functools import partial
+from itertools import count, product
 from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -72,6 +73,9 @@ COUNT_CHUNK = 2**14
 # The shipped joints' shares are at most 0.023; the 4,800-atom wide_support
 # joints' are about 0.4.
 COUNT_MIXED_MAX = 1 / 8
+# A binomial draw uses BTRD from this mean n * min(p, 1 - p) on, where its
+# hat is valid (Hormann 1993), and inversion below it, at most ~11 steps.
+BTRD_MIN_MEAN = 10.0
 
 Prior = tuple[tuple[float, float], ...]  # ((theta, weight), ...)
 
@@ -191,7 +195,9 @@ class DecisionTrace:
     gains: Optional[float]
 
     def realized(self) -> TreatmentPair:
-        return TreatmentPair(self.d0, self.d1_given[self.d0])
+        """The path taken; d1 is None in the pair's error for a d0 that is
+        not 0/1, since no period-1 choice follows it."""
+        return TreatmentPair(self.d0, self.d1_given[self.d0] if self.d0 in (0, 1) else None)
 
 
 # The checks below name what they check by a str.format template and its
@@ -1193,8 +1199,8 @@ def _decided_cells(config: ScenarioConfig, u0_type: np.ndarray, po: np.ndarray) 
     rows that share the type and the read columns.  A stable sort on those
     keys puts each group's first row at its head; the rule runs on those
     heads in row order.  Each head's path is read off its trace as
-    realized() would give it, and a TreatmentPair is built only to raise
-    for a path that is not 0/1."""
+    realized() would give it, and realized() is called only to raise for a
+    path that is not 0/1."""
     keys = [po[:, c] for c in config.reads]
     order = np.lexsort((*keys[::-1], u0_type))
     head = np.empty(len(order), dtype=bool)
@@ -1211,10 +1217,9 @@ def _decided_cells(config: ScenarioConfig, u0_type: np.ndarray, po: np.ndarray) 
     for u, y in zip(u0_type[rows].tolist(), po[rows].tolist()):
         tr = config.decide(LatentState(u, PotentialOutcomes.of(*y)))
         d0 = tr.d0
-        d1 = tr.d1_given[d0]
-        if d0 not in (0, 1) or d1 not in (0, 1):
-            TreatmentPair(d0, d1)  # raises realized()'s ValueError
-        codes.append(2 * d0 + d1)
+        if d0 not in (0, 1) or tr.d1_given[d0] not in (0, 1):
+            tr.realized()  # raises the pair's ValueError
+        codes.append(2 * d0 + tr.d1_given[d0])
     group_code = np.empty(len(first), dtype=np.int8)
     group_code[by_row] = codes
     cell = np.empty(len(order), dtype=np.int8)
@@ -1229,6 +1234,149 @@ def _guide_table(cdf: np.ndarray, m: int) -> np.ndarray:
     inf, count toward no entry (bin m + 1)."""
     first = np.minimum(np.ceil(cdf * m), m + 1).astype(np.intp)
     return np.cumsum(np.bincount(first, minlength=m + 2)[: m + 1])
+
+
+# BTRD's table of fc(k) = ln k! - (k + 1/2) ln(k + 1) + (k + 1) - ln(2 pi)/2,
+# the remainder of Stirling's series, for k < 10 (Hormann 1993)
+_FC_TABLE = (
+    0.08106146679532726,
+    0.04134069595540929,
+    0.02767792568499834,
+    0.02079067210376509,
+    0.01664469118982119,
+    0.01387612882307075,
+    0.01189670994589177,
+    0.01041126526197209,
+    0.009255462182712733,
+    0.008330563433362871,
+)
+
+
+def _fc(k: int) -> float:
+    if k < 10:
+        return _FC_TABLE[k]
+    ik2 = 1.0 / ((k + 1) * (k + 1))
+    return (1.0 / 12 - (1.0 / 360 - ik2 / 1260) * ik2) / (k + 1)
+
+
+def _btrd_squeeze(km: int, npq: float) -> tuple[float, float]:
+    """BTRD's squeeze for k at distance km > 15 from the mode: ln f(k)/f(m)
+    lies within rho of t = -km^2 / (2 n p q), the normal approximation's.
+    It can fail only far in the tails: at a mean near 50, below t - rho for
+    k <= 3, where ln f(k)/f(m) < -37, so it accepts at most ~2e-18 of
+    excess mass, below the 2^-53 grain of the uniforms."""
+    rho = (km / npq) * (((km / 3 + 0.625) * km + 1 / 6) / npq + 0.5)
+    return -km * km / (2 * npq), rho
+
+
+def _log_pmf_ratio(n: int, r: float, m: int, k: int) -> float:
+    """ln f(k)/f(m) of Bin(n, p), r = p/(1 - p), by Stirling's series.  It is
+    BTRD's h + (n + 1) ln(nm/nk) + (k + 1/2) ln(nk r/(k + 1)) - fc(k) -
+    fc(n - k), regrouped around d = k - m so that no log of a ratio near 1
+    is multiplied by ~n: ~1e-11 absolute at n = 10^9, against ~1e-7."""
+    d = k - m
+    nm = n - m + 1
+    return (
+        d * math.log(nm * r / (m + 1))
+        - (k + 0.5) * math.log1p(d / (m + 1))
+        - (n - k + 0.5) * math.log1p(-d / nm)
+        + _fc(m) + _fc(n - m) - _fc(k) - _fc(n - k)
+    )
+
+
+def _btrd(n: int, p: float, uniform: Callable[[], float]) -> int:
+    """A Bin(n, p) draw for p <= 1/2 and n * p >= 10: BTRD, transformed
+    rejection with decomposition (Hormann 1993, J. Stat. Comput. Simul. 46).
+    Near the mode m the pmf ratio f(k)/f(m) is a product of at most 15
+    terms; further out a squeeze decides most draws, and the rest compare
+    _log_pmf_ratio, written with Stirling remainders rather than lgamma
+    differences (lgamma(10^9) is ~2e10, so a difference of two keeps only ~6
+    digits)."""
+    q = 1.0 - p
+    m = int((n + 1) * p)
+    r = p / q
+    nr = (n + 1) * r
+    npq = n * p * q
+    sqrt_npq = math.sqrt(npq)
+    b = 1.15 + 2.53 * sqrt_npq
+    a = -0.0873 + 0.0248 * b + 0.01 * p
+    c = n * p + 0.5
+    alpha = (2.83 + 5.1 / b) * sqrt_npq
+    v_r = 0.92 - 4.2 / b
+    u_rv_r = 0.86 * v_r
+    while True:
+        v = uniform()
+        if v <= u_rv_r:  # the box under the pmf: accept at once
+            u = v / v_r - 0.43
+            return math.floor((2 * a / (0.5 - abs(u)) + b) * u + c)
+        if v >= v_r:
+            u = uniform() - 0.5
+        else:
+            u = v / v_r - 0.93
+            u = (-0.5 if u < 0 else 0.5) - u
+            v = uniform() * v_r
+        us = 0.5 - abs(u)
+        k = math.floor((2 * a / us + b) * u + c)
+        if k < 0 or k > n:
+            continue
+        v = v * alpha / (a / (us * us) + b)
+        km = abs(k - m)
+        if km <= 15:
+            f = 1.0
+            if m < k:
+                for i in range(m + 1, k + 1):
+                    f *= nr / i - r
+            elif m > k:
+                for i in range(k + 1, m + 1):
+                    v *= nr / i - r
+            if v <= f:
+                return k
+            continue
+        v = math.log(v)
+        t, rho = _btrd_squeeze(km, npq)
+        if v < t - rho:
+            return k
+        if v <= t + rho and v <= _log_pmf_ratio(n, r, m, k):
+            return k
+
+
+def _binomial_inversion(n: int, p: float, uniform: Callable[[], float]) -> int:
+    """A Bin(n, p) draw for 0 < p < 1 by inversion from 0, with the pmf by
+    its ratio recurrence f(k)/f(k-1) = ((n + 1)/k - 1) * p/(1 - p); costs
+    O(n * p + 1) steps.  The pmf's float sum can fall short of 1: a uniform
+    that lands past it starts over with a fresh uniform, so no atom gets the
+    shortfall."""
+    s = p / (1.0 - p)
+    a = (n + 1) * s
+    f0 = math.exp(n * math.log1p(-p))
+    while True:
+        u = uniform()
+        f = f0
+        k = 0
+        while u >= f:
+            u -= f
+            k += 1
+            if k > n:
+                break
+            f *= a / k - s
+        else:
+            return k
+
+
+def _binomial(n: int, p: float, uniform: Callable[[], float]) -> int:
+    """An exact Bin(n, p) draw made from the uniforms on [0, 1) that
+    uniform() returns, read in order: BTRD where n * min(p, 1 - p) >=
+    BTRD_MIN_MEAN, else inversion.  p > 1/2 draws the failures (1 - p is
+    exact there).  n = 0, p <= 0 and p >= 1 read no uniform."""
+    if n == 0 or p <= 0.0:
+        return 0
+    if p >= 1.0:
+        return n
+    if p > 0.5:
+        return n - _binomial(n, 1.0 - p, uniform)
+    if n * p >= BTRD_MIN_MEAN:
+        return _btrd(n, p, uniform)
+    return _binomial_inversion(n, p, uniform)
 
 
 class AtomSampler:
@@ -1252,6 +1400,11 @@ class AtomSampler:
     buckets; only draws in "mixed" buckets, those holding an atom edge, go
     through index(), in batches of up to COUNT_CHUNK draws.
 
+    multinomial() draws the counts' law, Multinomial(n, p), directly in
+    O(atoms) whatever n, as a chain of binomials on the stream's uniforms.
+    Its counts are not those of the n draws: panel() and index_chunks()
+    cannot replay them.
+
     Raises invalid-scenario for a joint with no atoms or a negative
     probability, and non-finite for a nan or infinite one.
     """
@@ -1274,6 +1427,9 @@ class AtomSampler:
         self._mixed = self._guide[:-1] != self._guide[1:]
         self._bucket_atom = np.minimum(self._guide[:-1], len(joint) - 1)
         self._use_histogram = np.count_nonzero(self._mixed) / self._m <= COUNT_MIXED_MAX
+        # atom j's share of the mass from atom j on, for multinomial()
+        tail = np.cumsum(prob[::-1])[::-1]
+        self._chain = np.divide(prob, tail, out=np.zeros(len(prob)), where=tail > 0).tolist()
 
     def index(self, u: np.ndarray) -> np.ndarray:
         """The atom index of each uniform in u."""
@@ -1338,6 +1494,24 @@ class AtomSampler:
         pure = ~self._mixed
         np.add.at(counts, self._bucket_atom[pure], hist[pure])
         return counts
+
+    def multinomial(self, n: int, seed: int) -> np.ndarray:
+        """A Multinomial(n, p) draw of the counts per atom, exact and in
+        O(atoms) expected time (Devroye 1986, Non-Uniform Random Variate
+        Generation): in canonical order, atom j gets
+        Bin(n left, p_j / (p_j + ... + p_last)), until no unit is left; the
+        last atom takes what remains.  The binomials read uniforms 0, 1, 2,
+        ... of stream seed in turn."""
+        uniform = map(partial(_rng.uniform_at, seed), count()).__next__
+        counts = [0] * len(self._chain)
+        left = n
+        for j, share in enumerate(self._chain[:-1]):
+            if not left:
+                break
+            counts[j] = c = _binomial(left, share, uniform)
+            left -= c
+        counts[-1] += left
+        return np.array(counts, dtype=np.int64)
 
     def panel(self, n: int, seed: int) -> Panel:
         """The n draws of stream seed as a panel with latent columns."""

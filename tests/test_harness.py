@@ -1,6 +1,7 @@
 """Experiment orchestration: config parsing, replication, file outputs."""
 
 import dataclasses
+import hashlib
 import json
 import tracemalloc
 import warnings
@@ -11,7 +12,7 @@ import pytest
 from didlab import _jsonio, core, harness, scenarios
 from didlab.corpus import random_treated_learning, shipped_text
 from didlab.errors import LabError
-from didlab.estimators import ALL_ESTIMATORS, ObservedCells
+from didlab.estimators import ALL_ESTIMATORS, ESTIMATORS, ObservedCells
 from didlab.harness import (
     ExperimentConfig,
     oracle_block,
@@ -296,6 +297,72 @@ def test_run_experiment_revalidates():
     with pytest.raises(LabError, match="validation") as err:
         run_experiment(bad)
     assert err.value.code == "invalid-scenario"
+
+
+def _rows_from_counts(cfg, draw):
+    """run_experiment's rows, were replication r's atom counts draw(r)."""
+    joint = build_joint(cfg.scenario)
+    rows = []
+    for r in range(cfg.replications):
+        cells = ObservedCells(joint, draw(r))
+        for est_id in cfg.estimators:
+            try:
+                value = ESTIMATORS[est_id](cells).value
+            except LabError:
+                continue
+            if isinstance(value, core.BoundsInterval):
+                rows.append((r, est_id, None, value.lower, value.upper))
+            else:
+                rows.append((r, est_id, value, None, None))
+    return rows
+
+
+def test_replications_of_a_wide_joint_count_their_draws():
+    """4,800 atoms at n = 20,000 is too few units per atom for the chain:
+    every replication is the histogram of its draws, bit for bit."""
+    rng = np.random.default_rng(3)
+    wide = scenarios.NoLearning(
+        types=tuple(
+            # one untreated trend, 0.05, for every type, so the config validates
+            scenarios.NoLearningType(prob=1 / 300, mu=((mu00, mu01), (mu00 + 0.05, mu11)))
+            for mu00, mu01, mu11 in rng.uniform(0.1, 0.9, (300, 3)).tolist()
+        )
+    )
+    cfg = ExperimentConfig(wide, n=20_000, replications=3, seed=5)
+    report = run_experiment(cfg)
+    assert len(report.sampler.joint.prob) * harness.CHAIN_UNITS_PER_ATOM > cfg.n
+    assert report.rows == _rows_from_counts(cfg, lambda r: report.sampler.counts(cfg.n, derive_seed(cfg.seed, r)))
+
+
+def test_replications_after_the_first_draw_from_the_multinomial_chain():
+    cfg = parse_config(shipped_text("stationary_scale"))
+    cfg.n, cfg.replications, cfg.seed = 100_000, 5, 3
+    report, again = run_experiment(cfg), run_experiment(cfg)
+    assert report.rows == again.rows and report.to_json() == again.to_json()
+    sampler = report.sampler
+    assert len(sampler.joint.prob) * harness.CHAIN_UNITS_PER_ATOM <= cfg.n
+    draw = {0: sampler.counts}
+    expected = _rows_from_counts(cfg, lambda r: draw.get(r, sampler.multinomial)(cfg.n, derive_seed(cfg.seed, r)))
+    assert report.rows == expected
+
+
+def test_replication_0_and_panel_csv_keep_the_bytes_of_the_counted_draws(tmp_path):
+    """Replication 0 still counts its n draws, which panel.csv replays, where
+    the chain draws the later ones: both keep the bytes of the counted
+    draws."""
+    cfg = parse_config(shipped_text("known_means"))
+    cfg.n, cfg.replications, cfg.seed = 2**15, 3, 11
+    report = run_experiment(cfg)
+    assert len(report.sampler.joint.prob) * harness.CHAIN_UNITS_PER_ATOM <= cfg.n
+    write_outputs(report, [], tmp_path)
+    panel = (tmp_path / "panel.csv").read_bytes()
+    assert hashlib.sha256(panel).hexdigest() == "83db89fac0bfd41fb63dd18a8fe2c937cdc0b287a6b7f768a7e82e2aa2fab436"
+    lines = (tmp_path / "estimates.csv").read_text().splitlines()
+    assert [line for line in lines if line.startswith("0,")] == [
+        "0,did_switchers,0.15149778397808489,,",
+        "0,att_forward_stationary,0.24177431147940531,,",
+        "0,mts_bounds,,0.13973501348143835,0.15149778397808489",
+    ]
 
 
 def test_each_config_object_validates_once(monkeypatch):

@@ -150,7 +150,8 @@ def test_decide_runs_once_per_distinct_state_it_reads(monkeypatch, make, calls_p
     "trace, message",
     [
         (DecisionTrace(0, (2, 0), (0.0, 0.0), None), "TreatmentPair(d0=0, d1=2)"),
-        (DecisionTrace(-1, (0, 1), (0.0, 0.0), None), "TreatmentPair(d0=-1, d1=1)"),
+        (DecisionTrace(-1, (0, 1), (0.0, 0.0), None), "TreatmentPair(d0=-1, d1=None)"),
+        (DecisionTrace(2, (0, 1), (0.0, 0.0), None), "TreatmentPair(d0=2, d1=None)"),
     ],
 )
 def test_a_rule_with_a_path_that_is_not_0_1_raises_the_pair_error(monkeypatch, trace, message):
