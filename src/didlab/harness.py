@@ -3,10 +3,14 @@ deterministic file outputs.
 
 Every estimator is a function of the observed cell table, and a draw's table
 is a function of how many units landed on each atom.  So replications run
-serially on atom counts, drawn in fixed-size chunks, and no replication builds
-a Panel: panel.csv streams replication 0's draws from the sampler chunk by
-chunk.  Neither the counts nor the rows depend on the chunk size, so the
-report and every output file are byte-stable.
+serially on atom counts, and no replication builds a Panel.  Replication 0
+counts its n draws in fixed-size chunks, and panel.csv streams those draws
+from the sampler chunk by chunk.  Replications 1 and later of a joint with
+atoms * CHAIN_UNITS_PER_ATOM <= n draw their counts as one multinomial
+(AtomSampler.multinomial), in O(atoms) whatever n; the others count their
+draws too.  Neither the counts nor the rows depend on the chunk size, so the
+report and every output file are byte-identical across reruns of one
+version.
 """
 
 from __future__ import annotations

@@ -1270,10 +1270,12 @@ def _btrd_squeeze(km: int, npq: float) -> tuple[float, float]:
 
 
 def _log_pmf_ratio(n: int, r: float, m: int, k: int) -> float:
-    """ln f(k)/f(m) of Bin(n, p), r = p/(1 - p), by Stirling's series.  It is
-    BTRD's h + (n + 1) ln(nm/nk) + (k + 1/2) ln(nk r/(k + 1)) - fc(k) -
-    fc(n - k), regrouped around d = k - m so that no log of a ratio near 1
-    is multiplied by ~n: ~1e-11 absolute at n = 10^9, against ~1e-7."""
+    """ln f(k)/f(m) of Bin(n, p), r = p/(1 - p), by Stirling's series, not
+    by lgamma differences (lgamma(10^9) is ~2e10, so a difference of two
+    keeps ~6 digits).  It is BTRD's h + (n + 1) ln(nm/nk) + (k + 1/2)
+    ln(nk r/(k + 1)) - fc(k) - fc(n - k), regrouped around d = k - m so
+    that no log of a ratio near 1 is multiplied by ~n: ~1e-11 absolute at
+    n = 10^9, against ~1e-7 as BTRD groups it."""
     d = k - m
     nm = n - m + 1
     return (
@@ -1288,10 +1290,8 @@ def _btrd(n: int, p: float, uniform: Callable[[], float]) -> int:
     """A Bin(n, p) draw for p <= 1/2 and n * p >= 10: BTRD, transformed
     rejection with decomposition (Hormann 1993, J. Stat. Comput. Simul. 46).
     Near the mode m the pmf ratio f(k)/f(m) is a product of at most 15
-    terms; further out a squeeze decides most draws, and the rest compare
-    _log_pmf_ratio, written with Stirling remainders rather than lgamma
-    differences (lgamma(10^9) is ~2e10, so a difference of two keeps only ~6
-    digits)."""
+    terms; further out a squeeze decides most draws, and _log_pmf_ratio the
+    rest."""
     q = 1.0 - p
     m = int((n + 1) * p)
     r = p / q
