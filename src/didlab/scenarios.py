@@ -1427,9 +1427,13 @@ class AtomSampler:
         self._mixed = self._guide[:-1] != self._guide[1:]
         self._bucket_atom = np.minimum(self._guide[:-1], len(joint) - 1)
         self._use_histogram = np.count_nonzero(self._mixed) / self._m <= COUNT_MIXED_MAX
-        # atom j's share of the mass from atom j on, for multinomial()
+
+    @_once
+    def _chain(self) -> list:
+        """Atom j's share of the mass from atom j on, for multinomial()."""
+        prob = self.joint.prob
         tail = np.cumsum(prob[::-1])[::-1]
-        self._chain = np.divide(prob, tail, out=np.zeros(len(prob)), where=tail > 0).tolist()
+        return np.divide(prob, tail, out=np.zeros(len(prob)), where=tail > 0).tolist()
 
     def index(self, u: np.ndarray) -> np.ndarray:
         """The atom index of each uniform in u."""
