@@ -1344,8 +1344,8 @@ def _binomial_inversion(n: int, p: float, uniform: Callable[[], float]) -> int:
     """A Bin(n, p) draw for 0 < p < 1 by inversion from 0, with the pmf by
     its ratio recurrence f(k)/f(k-1) = ((n + 1)/k - 1) * p/(1 - p); costs
     O(n * p + 1) steps.  The pmf's float sum can fall short of 1: a uniform
-    that lands past it starts over with a fresh uniform, so no atom gets the
-    shortfall."""
+    that lands past it starts over with a fresh uniform, so no value of k
+    takes the shortfall."""
     s = p / (1.0 - p)
     a = (n + 1) * s
     f0 = math.exp(n * math.log1p(-p))

@@ -17,8 +17,8 @@ import pytest
 
 from didlab import _rng, scenarios
 from didlab._rng import derive_seed
-from didlab.core import JointDistribution
 from didlab.scenarios import AtomSampler, _binomial, _btrd_squeeze, _log_pmf_ratio
+from test_joint import _joint_of
 
 N = 10_000
 R = 200
@@ -40,7 +40,7 @@ def _cell_vectors(joint) -> np.ndarray:
     return np.hstack([onehot, onehot * joint.y0[:, None], onehot * joint.y1[:, None]]).astype(np.float64)
 
 
-def assert_counts_have_the_multinomial_moments(joint, draw, label):
+def _assert_counts_have_the_multinomial_moments(joint, draw, label):
     """draw(r) is replication r's counts; check the 12 cell sums of R
     replications against their exact means and variances."""
     x = _cell_vectors(joint)
@@ -65,19 +65,18 @@ def assert_counts_have_the_multinomial_moments(joint, draw, label):
 def test_replication_counts_have_the_multinomial_moments(shipped_joints, method):
     for name, joint in shipped_joints.items():
         draw = getattr(AtomSampler(joint), method)
-        assert_counts_have_the_multinomial_moments(joint, lambda r: draw(N, derive_seed(SEED, r)), (name, method))
+        _assert_counts_have_the_multinomial_moments(joint, lambda r: draw(N, derive_seed(SEED, r)), (name, method))
 
 
 # Goodness of fit of the scalar binomial.  Each case's draws are binned from
 # k = 0 up, a bin closing once it expects >= GOF_MIN_EXPECTED draws (the last
 # one taking what is left), and Pearson's X^2 over the bins must stay below
 # the Wilson-Hilferty approximation of the chi^2(bins - 1) quantile at
-# 1 - GOF_TAIL, which overstates the exact quantile at this tail (27.5
-# against 23.9 at 1 df).  Fixed before any result was seen: over the 250
-# cases with more than one bin, a correct sampler fails with probability
-# below 250 * 1e-6 = 2.5e-4.  A draw where the pmf is 0 fails outright.
-GOF_TAIL = 1e-6
-GOF_Z = 4.753424  # the standard normal quantile at 1 - GOF_TAIL
+# 1 - 1e-6, which overstates the exact quantile at this tail (27.5 against
+# 23.9 at 1 df).  Fixed before any result was seen: over the 250 cases with
+# more than one bin, a correct sampler fails with probability below
+# 250 * 1e-6 = 2.5e-4.  A draw where the pmf is 0 fails outright.
+GOF_Z = 4.753424  # the standard normal quantile at 1 - 1e-6
 GOF_MIN_EXPECTED = 5.0
 GOF_P = (0.0, 1e-12, 0.05, 0.3, 0.5, 0.7, 0.95, 1 - 1e-12, 1.0)
 
@@ -145,11 +144,6 @@ def test_btrd_log_pmf_ratio_and_squeeze_away_from_the_mode(n, p):
         assert abs(_log_pmf_ratio(n, r, m, k) - exact) <= 1e-9, (k, exact)
         t, rho = _btrd_squeeze(abs(k - m), npq)
         assert exact < -30 or t - rho <= exact <= t + rho, (k, exact, t, rho)
-
-
-def _joint_of(prob):
-    k = len(prob)
-    return JointDistribution(np.zeros(k), np.zeros((k, 4)), np.zeros(k), np.zeros(k), prob)
 
 
 def test_multinomial_counts_sum_to_n(shipped_joints):
