@@ -8,9 +8,11 @@ counts its n draws in fixed-size chunks, and panel.csv streams those draws
 from the sampler chunk by chunk.  Replications 1 and later of a joint with
 atoms * CHAIN_UNITS_PER_ATOM <= n draw their counts as one multinomial
 (AtomSampler.multinomial), in O(atoms) whatever n; the others count their
-draws too.  Neither the counts nor the rows depend on the chunk size, so the
-report and every output file are byte-identical across reruns of one
-version.
+draws too.  Each estimator's outcome in each replication is held once, in
+SummaryReport.outcomes, which the aggregates, SummaryReport.rows and the
+line-by-line estimates.csv writer all read.  Neither the counts nor the
+outcomes depend on the chunk size, so the report and every output file are
+byte-identical across reruns of one version.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ import json
 import math
 import warnings
 from dataclasses import dataclass, field, fields
+from itertools import chain
 from pathlib import Path
 from typing import Optional, Union
 
@@ -142,9 +145,10 @@ def parse_config(text: Union[bytes, str]) -> ExperimentConfig:
 class SummaryReport:
     """Aggregated experiment results plus the exact oracle block.
 
-    rows carries the per-replication estimates for estimates.csv and
-    sampler the sampler the replications drew from, which panel.csv
-    replays; neither is part of the JSON summary.
+    outcomes maps each estimator id to its outcome in every replication, in
+    order: the value (a float or a BoundsInterval) or the LabError code.
+    sampler is the sampler the replications drew from, which panel.csv
+    replays.  Neither is part of the JSON summary.
     """
 
     scenario_id: str
@@ -154,19 +158,26 @@ class SummaryReport:
     emit_latent: bool
     oracle: dict
     estimators: dict
-    rows: list = field(repr=False, default_factory=list)
+    outcomes: dict = field(repr=False, default_factory=dict)
     sampler: Optional[AtomSampler] = field(repr=False, compare=False, default=None)
 
+    @property
+    def rows(self) -> list:
+        """estimates.csv's (replication, estimator_id, value, lower, upper)
+        rows: one per estimate that did not fail, in replication order."""
+        return list(self._rows())
+
+    def _rows(self):
+        for r, results in enumerate(zip(*self.outcomes.values())):
+            for est_id, value in zip(self.outcomes, results):
+                if isinstance(value, BoundsInterval):
+                    yield r, est_id, None, value.lower, value.upper
+                elif not isinstance(value, str):
+                    yield r, est_id, value, None, None
+
     def to_json(self) -> dict:
-        return {
-            "scenario_id": self.scenario_id,
-            "n": self.n,
-            "replications": self.replications,
-            "seed": self.seed,
-            "emit_latent": self.emit_latent,
-            "oracle": self.oracle,
-            "estimators": self.estimators,
-        }
+        keys = ("scenario_id", "n", "replications", "seed", "emit_latent", "oracle", "estimators")
+        return {key: getattr(self, key) for key in keys}
 
 
 def oracle_block(config: ScenarioConfig, estimator_ids=ALL_ESTIMATORS) -> dict:
@@ -211,30 +222,21 @@ def _oracle_block(config: ScenarioConfig, joint: JointDistribution, estimator_id
     return block
 
 
-def _replicate(sampler: AtomSampler, cfg: ExperimentConfig, r: int):
-    """Draw replication r's atom counts and run every estimator on their cell
-    table.  A failure is kept as its error code.  Replication 0 counts its n
-    draws, which panel.csv replays; later ones draw the counts' multinomial
-    law directly where that is cheaper (CHAIN_UNITS_PER_ATOM)."""
+def _replicate(sampler: AtomSampler, cfg: ExperimentConfig, r: int) -> np.ndarray:
+    """Replication r's atom counts.  Replication 0 counts its n draws, which
+    panel.csv replays; later ones draw the counts' multinomial law directly
+    where that is cheaper (CHAIN_UNITS_PER_ATOM)."""
     seed = derive_seed(cfg.seed, r)
     if r and len(sampler.joint) * CHAIN_UNITS_PER_ATOM <= cfg.n:
-        counts = sampler.multinomial(cfg.n, seed)
-    else:
-        counts = sampler.counts(cfg.n, seed)
-    cells = ObservedCells(sampler.joint, counts)
-    results = []
-    for est_id in cfg.estimators:
-        try:
-            results.append((est_id, ESTIMATORS[est_id](cells).value))
-        except LabError as e:
-            results.append((est_id, e.code))
-    return results
+        return sampler.multinomial(cfg.n, seed)
+    return sampler.counts(cfg.n, seed)
 
 
 def _unit_scale(largest: float) -> float:
-    """The power of two that brings |largest| into [0.5, 1).  Scaling by it is
-    exact in binary floating point, and afterwards squares cannot overflow."""
-    return math.ldexp(1.0, -math.frexp(float(largest))[1])
+    """The power of two, at most 2^1022 so that it is finite, that brings
+    |largest| into [0.5, 1) or below.  Scaling by it is exact in binary
+    floating point, and afterwards squares cannot overflow."""
+    return math.ldexp(1.0, -max(math.frexp(float(largest))[1], -1022))
 
 
 def _sd(x: np.ndarray) -> float:
@@ -290,33 +292,30 @@ def run_experiment(cfg: ExperimentConfig) -> SummaryReport:
     truth = oracle.get("true_att_switchers")
 
     sampler = AtomSampler(joint)
-    outcomes = [_replicate(sampler, cfg, r) for r in range(cfg.replications)]
-
-    rows: list = []
-    collected: dict[str, list] = {est_id: [] for est_id in cfg.estimators}
-    errors: dict[str, dict[str, int]] = {est_id: {} for est_id in cfg.estimators}
-    for r, results in enumerate(outcomes):
-        for est_id, value in results:
-            if isinstance(value, str):
-                tally = errors[est_id]
-                tally[value] = tally.get(value, 0) + 1
-            elif isinstance(value, BoundsInterval):
-                collected[est_id].append(value)
-                rows.append((r, est_id, None, value.lower, value.upper))
-            else:
-                collected[est_id].append(value)
-                rows.append((r, est_id, value, None, None))
+    outcomes: dict[str, list] = {est_id: [] for est_id in cfg.estimators}
+    for r in range(cfg.replications):
+        cells = ObservedCells(joint, _replicate(sampler, cfg, r))
+        for est_id, results in outcomes.items():
+            try:
+                results.append(ESTIMATORS[est_id](cells).value)
+            except LabError as e:
+                results.append(e.code)
 
     aggregates: dict = {}
-    for est_id in cfg.estimators:
-        values = collected[est_id]
+    for est_id, results in outcomes.items():
+        values, errors = [], {}
+        for value in results:
+            if isinstance(value, str):
+                errors[value] = errors.get(value, 0) + 1
+            else:
+                values.append(value)
         if not values:
             agg: dict = {"n_ok": 0}
         elif isinstance(values[0], BoundsInterval):
             agg = _aggregate_bounds(values, truth)
         else:
             agg = _aggregate_scalar(values, truth)
-        agg["errors"] = errors[est_id]
+        agg["errors"] = errors
         aggregates[est_id] = agg
 
     return SummaryReport(
@@ -327,7 +326,7 @@ def run_experiment(cfg: ExperimentConfig) -> SummaryReport:
         emit_latent=cfg.emit_latent,
         oracle=oracle,
         estimators=aggregates,
-        rows=rows,
+        outcomes=outcomes,
         sampler=sampler,
     )
 
@@ -433,10 +432,8 @@ def write_outputs(report: SummaryReport, panels, out_dir) -> list:
 
     _write_text("summary.json", [_jsonio.dumps(report.to_json(), indent=2) + "\n"])
 
-    est_lines = ["replication,estimator_id,value,lower,upper"]
-    for r, est_id, value, lower, upper in report.rows:
-        est_lines.append(f"{r},{est_id},{_fmt(value)},{_fmt(lower)},{_fmt(upper)}")
-    _write_text("estimates.csv", ["\n".join(est_lines) + "\n"])
+    est_lines = (f"{r},{est_id},{_fmt(v)},{_fmt(lo)},{_fmt(hi)}\n" for r, est_id, v, lo, hi in report._rows())
+    _write_text("estimates.csv", chain(["replication,estimator_id,value,lower,upper\n"], est_lines))
 
     cells = report.oracle.get("cells", {})
     oracle_lines = ["d0,d1,prob,trend_mean,level_y0,level_y1"]

@@ -67,11 +67,11 @@ COUNT_CHUNK = 2**14
 # share of the buckets holds an atom edge, and else looks up every draw's
 # atom.  Only draws in those "mixed" buckets still take the per-draw lookup,
 # so the histogram costs a fixed O(n) pass plus that share of the lookup.
-# Timed at n = 100,000 on random joints (2 cores, numpy 2.4): it is 0.6-0.9x
-# the per-draw time up to a share of 0.09, even near 0.14-0.18, and 1.2-1.5x
-# from 0.25 on (timed before buckets were read ahead of fmix64's last step).
-# The shipped joints' shares are at most 0.023; the 4,800-atom wide_support
-# joints' are about 0.4.
+# Medians of 300 calls (2 cores, numpy 2.4): the shipped joints (shares at
+# most 0.023) took 0.76-0.90 ms against the lookup's 1.38-1.56 ms at n = 10^5;
+# random joints 0.7-0.9x the lookup's time at shares 0.04-0.14 and 1.1-1.2x
+# at 0.23-0.33; the 4,800-atom wide_support joints (about 0.43) 0.71-0.85 ms
+# against 0.53-0.64 ms at n = 20,000.
 COUNT_MIXED_MAX = 1 / 8
 # A binomial draw uses BTRD from this mean n * min(p, 1 - p) on, where its
 # hat is valid (Hormann 1993), and inversion below it, at most ~11 steps.

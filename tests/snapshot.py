@@ -15,6 +15,10 @@ byte-identical leaves them equal.  The artifacts, for each config:
   simulate/     the panel CSV of didlab simulate
   experiment/   each file of didlab experiment at the config's settings
   experiment+/  the same at --n 2000 --reps 20 --seed 5 --emit-latent
+  experiment-/  the same at --n 4 --reps 40 --seed 5, shipped configs only:
+                estimators fail in some replications and not in others, so
+                these pin the errors tallies and which estimates.csv rows
+                are left out
   readback/     read_panel_csv's columns (dtypes, shapes and bytes) on
                 experiment+'s panel.csv
   empirical/    the JSON of empirical_cell_table, partial_pt,
@@ -62,6 +66,8 @@ CORPUS_SEEDS = 3
 COUNTS_SETTINGS = ((1, 0), (7, 13), (100_000, 2**64 - 1))
 # the experiment+ overrides
 PLUS_SETTINGS = ("--n", "2000", "--reps", "20", "--seed", "5", "--emit-latent")
+# the experiment- overrides, for the shipped configs
+MINUS_SETTINGS = ("--n", "4", "--reps", "40", "--seed", "5")
 
 # corpus family -> config maker, as the property tests draw them
 FAMILIES = {
@@ -215,7 +221,10 @@ def snapshot() -> list[str]:
             lines.append(f"truth/{label} {code} {_sha(out)} {_sha(err)}")
             code, out, _ = _run("simulate", str(path))
             lines.append(f"simulate/{label} {code} {_sha(out)}")
-            for tag, extra in (("experiment", ()), ("experiment+", PLUS_SETTINGS)):
+            runs = [("experiment", ()), ("experiment+", PLUS_SETTINGS)]
+            if label.startswith("shipped:"):
+                runs.append(("experiment-", MINUS_SETTINGS))
+            for tag, extra in runs:
                 out_dir = tmp / tag / label.replace(":", "_")
                 code, _, _ = _run("experiment", str(path), "--out", str(out_dir), *extra)
                 for f in sorted(out_dir.iterdir()):

@@ -413,6 +413,26 @@ def test_experiment_summary_survives_huge_outcomes(capsys, tmp_path):
                 assert math.isfinite(agg[key]) and agg[key] > 0.0, (est_id, key)
 
 
+def test_experiment_summary_survives_subnormal_outcomes(capsys, tmp_path):
+    """Every estimate is subnormal, below 2^-1022: the power of two that
+    scales the spread and the rmse stays finite, and the run succeeds."""
+    path = tmp_path / "tiny.json"
+    pmf = [[0.0, 1e-310, 0.5], [1e-310, 0.0, 0.5]]
+    path.write_text(json.dumps(
+        {"scenario": "optimal_stopping", "types": [{"prob": 1.0, "k0": -1.0, "k1": 0.0, "beta": 0.9, "pmf": pmf}]}
+    ))
+    out_dir = tmp_path / "exp"
+    code, _, _ = run(capsys, "experiment", str(path), "--n", "200", "--reps", "3", "--out", str(out_dir))
+    assert code == 0
+    summary = json.loads((out_dir / "summary.json").read_text())
+    scalars = [agg for agg in summary["estimators"].values() if "sd" in agg]
+    assert scalars and all(agg["n_ok"] == 3 for agg in scalars)
+    for agg in scalars:
+        for key in ("sd", "bias", "rmse"):
+            assert math.isfinite(agg[key]), (agg, key)
+    assert any(0.0 < abs(agg["rmse"]) < 2.0**-1022 for agg in scalars)
+
+
 @pytest.mark.parametrize("command", ["truth", "experiment"])
 def test_overflowing_oracle_values_exit_2(capsys, tmp_path, command):
     """Outcomes near the float limit make y1 - y0 overflow in the oracle: the

@@ -365,6 +365,33 @@ def test_replication_0_and_panel_csv_keep_the_bytes_of_the_counted_draws(tmp_pat
     ]
 
 
+def test_memory_per_replication_is_bounded(tmp_path):
+    """Each replication's outcome is held once: between R and 2R
+    replications the traced peak of run_experiment, and then of
+    write_outputs with the report held, grows by at most 512 B per
+    replication (~210-270 B; ~760-1,100 B when every estimate was also held
+    as a row tuple, a tally entry and a line of one joined string)."""
+    cfg = parse_config(shipped_text("stationary_scale"))
+    cfg.n = 100
+    reps = 500
+    peaks = []
+    for replications in (reps, 2 * reps):
+        cfg.replications = replications
+        tracemalloc.start()
+        try:
+            report = run_experiment(cfg)
+            run_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            write_outputs(report, [], tmp_path / str(replications))
+            peaks.append((run_peak, tracemalloc.get_traced_memory()[1]))
+        finally:
+            tracemalloc.stop()
+        del report
+    (run_r, write_r), (run_2r, write_2r) = peaks
+    assert (run_2r - run_r) / reps <= 512, peaks
+    assert (write_2r - write_r) / reps <= 512, peaks
+
+
 def test_each_config_object_validates_once(monkeypatch):
     calls = []
     validate = scenarios.NoLearning.validate
