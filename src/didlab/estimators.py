@@ -78,7 +78,10 @@ class ObservedCells:
                 w = arr["prob"] / np.sum(arr["prob"])
             else:
                 w = np.asarray(counts, dtype=np.float64)
-            y0, y1 = w * arr["y0"], w * arr["y1"]
+            # an overflowing product is inf or nan, which the estimators
+            # report as non-finite: numpy's warning about it would be noise
+            with np.errstate(over="ignore", invalid="ignore"):
+                y0, y1 = w * arr["y0"], w * arr["y1"]
         else:
             raise TypeError(f"estimators take a Panel or JointDistribution, got {type(data).__name__}")
         cell = (2 * d0 + d1).astype(np.intp)

@@ -10,9 +10,10 @@ atoms * CHAIN_UNITS_PER_ATOM <= n draw their counts as one multinomial
 (AtomSampler.multinomial), in O(atoms) whatever n; the others count their
 draws too.  Each estimator's outcome in each replication is held once, in
 SummaryReport.outcomes, which the aggregates, SummaryReport.rows and the
-line-by-line estimates.csv writer all read.  Neither the counts nor the
-outcomes depend on the chunk size, so the report and every output file are
-byte-identical across reruns of one version.
+line-by-line estimates.csv writer all read.  The aggregates are computed on
+series scaled by a power of two (_series), and one past the float range
+raises non-finite.  Neither the counts nor the outcomes depend on the chunk
+size, so the report and every output file are byte-identical across reruns.
 """
 
 from __future__ import annotations
@@ -55,6 +56,10 @@ MAX_SEED = 2**64 - 1
 # at 2^9 units per atom the chain took 0.33-0.67x counts' time, and 0.6-1.4x
 # at 2^8 (2 cores, numpy 2.4, Python 3.11).
 CHAIN_UNITS_PER_ATOM = 2**9
+
+# Rows of a given panel formatted at a time, whose values are held as Python
+# objects meanwhile: ~0.3 MB at 2^10 latent rows, ~5 MB at 2^14.
+_SLICE_ROWS = 2**10
 
 PANEL_HEADER = ("unit", "d0", "d1", "y0", "y1")
 PANEL_HEADER_LATENT = PANEL_HEADER + ("y00", "y01", "y10", "y11")
@@ -239,45 +244,36 @@ def _unit_scale(largest: float) -> float:
     return math.ldexp(1.0, -max(math.frexp(float(largest))[1], -1022))
 
 
-def _sd(x: np.ndarray) -> float:
-    if len(x) < 2:
-        return 0.0
-    s = _unit_scale(np.max(np.abs(x)))
-    return float(np.std(x * s, ddof=1)) / s
+def _series(x: np.ndarray, truth: Optional[float] = None) -> tuple:
+    """(mean, sd, rmse) of the series x, the rmse about truth (None without
+    one), all three from x scaled once by _unit_scale: no sum or square
+    overflows on the way to a result in the float range."""
+    s = _unit_scale(max(np.max(np.abs(x)), 0.0 if truth is None else abs(truth)))
+    xs = x * s
+    sd = float(np.std(xs, ddof=1)) / s if len(x) > 1 else 0.0
+    rmse = None if truth is None else float(np.sqrt(np.mean((xs - truth * s) ** 2))) / s
+    return float(np.mean(xs)) / s, sd, rmse
 
 
 def _aggregate_scalar(values: list[float], truth: Optional[float]) -> dict:
-    arr = np.asarray(values, dtype=np.float64)
-    out: dict = {
-        "n_ok": len(values),
-        "mean": float(np.mean(arr)),
-        "sd": _sd(arr),
-    }
-    if truth is not None:
-        s = _unit_scale(max(np.max(np.abs(arr)), abs(truth)))
-        out["bias"] = out["mean"] - truth
-        out["rmse"] = float(np.sqrt(np.mean((arr * s - truth * s) ** 2))) / s
-    else:
-        out["bias"] = None
-        out["rmse"] = None
-    return out
+    mean, sd, rmse = _series(np.asarray(values, dtype=np.float64), truth)
+    bias = None if truth is None else mean - truth
+    return {"n_ok": len(values), "mean": mean, "sd": sd, "bias": bias, "rmse": rmse}
 
 
 def _aggregate_bounds(values: list[BoundsInterval], truth: Optional[float]) -> dict:
     lo = np.asarray([b.lower for b in values], dtype=np.float64)
     hi = np.asarray([b.upper for b in values], dtype=np.float64)
-    out: dict = {
+    (lower_mean, lower_sd, _), (upper_mean, upper_sd, _) = _series(lo), _series(hi)
+    coverage = None if truth is None else float(np.mean((lo <= truth) & (truth <= hi)))
+    return {
         "n_ok": len(values),
-        "lower_mean": float(np.mean(lo)),
-        "upper_mean": float(np.mean(hi)),
-        "lower_sd": _sd(lo),
-        "upper_sd": _sd(hi),
+        "lower_mean": lower_mean,
+        "upper_mean": upper_mean,
+        "lower_sd": lower_sd,
+        "upper_sd": upper_sd,
+        "coverage": coverage,
     }
-    if truth is not None:
-        out["coverage"] = float(np.mean((lo <= truth) & (truth <= hi)))
-    else:
-        out["coverage"] = None
-    return out
 
 
 def run_experiment(cfg: ExperimentConfig) -> SummaryReport:
@@ -317,6 +313,7 @@ def run_experiment(cfg: ExperimentConfig) -> SummaryReport:
             agg = _aggregate_scalar(values, truth)
         agg["errors"] = errors
         aggregates[est_id] = agg
+    _check_finite({"estimators": aggregates}, "an aggregate over the replications")
 
     return SummaryReport(
         scenario_id=cfg.scenario.scenario_id,
@@ -332,37 +329,31 @@ def run_experiment(cfg: ExperimentConfig) -> SummaryReport:
 
 
 def _fmt(x) -> str:
-    if x is None:
-        return ""
-    if isinstance(x, (int, np.integer)) and not isinstance(x, bool):
-        return str(int(x))
-    return _jsonio.format_float(float(x))
+    return "" if x is None else _jsonio.format_float(float(x))
 
 
 def _panel_header(emit_latent: bool) -> str:
     return ",".join(PANEL_HEADER_LATENT if emit_latent else PANEL_HEADER)
 
 
-def _panel_rows(panel: Panel, emit_latent: bool):
-    """Yield the panel.csv rows of panel."""
-    for i in range(panel.n):
-        cells = [str(i), str(int(panel.d0[i])), str(int(panel.d1[i])), _fmt(panel.y0[i]), _fmt(panel.y1[i])]
-        if emit_latent:
-            cells.extend(_fmt(panel.po[i, j]) for j in range(4))
-        yield ",".join(cells)
+def _row_texts(cols, rows, emit_latent: bool) -> list:
+    """The "d0,d1,y0,y1" text, with ",y00,y01,y10,y11" under emit_latent, of
+    the given rows (indices or a slice) of cols, a JointDistribution or a
+    Panel: each one a panel.csv row without its unit id."""
+    fmt = _jsonio.format_float
+    columns = [cols.d0[rows], cols.d1[rows], cols.y0[rows], cols.y1[rows], *(cols.po[rows].T if emit_latent else ())]
+    return [",".join([str(d0), str(d1), *map(fmt, ys)]) for d0, d1, *ys in zip(*(c.tolist() for c in columns))]
 
 
 def panel_csv_lines(panel: Panel, emit_latent: bool):
-    """Yield panel.csv lines (no trailing newline).  Latent columns need the
-    panel to carry potential outcomes."""
-    _check_latent(panel, emit_latent)
+    """Yield panel.csv lines (no trailing newline), after _check_panel:
+    latent columns need the panel to carry potential outcomes, and every
+    value written must be finite."""
+    _check_panel(panel, emit_latent)
     yield _panel_header(emit_latent)
-    yield from _panel_rows(panel, emit_latent)
-
-
-def _check_latent(panel: Panel, emit_latent: bool) -> None:
-    if emit_latent and not panel.has_latent:
-        raise LabError("latent-required", "panel has no latent columns to emit")
+    for start in range(0, panel.n, _SLICE_ROWS):
+        texts = _row_texts(panel, slice(start, start + _SLICE_ROWS), emit_latent)
+        yield from (f"{unit},{text}" for unit, text in enumerate(texts, start))
 
 
 def _check_panel(panel: Panel, emit_latent: bool) -> None:
@@ -370,7 +361,8 @@ def _check_panel(panel: Panel, emit_latent: bool) -> None:
     lacks, then non-finite, naming the unit and column, at the first nan or
     inf among the floats panel.csv would hold for panel (y0, y1, and the
     latent columns under emit_latent): read_panel_csv rejects such a file."""
-    _check_latent(panel, emit_latent)
+    if emit_latent and not panel.has_latent:
+        raise LabError("latent-required", "panel has no latent columns to emit")
     finite = np.isfinite(panel.y0) & np.isfinite(panel.y1)
     for col in panel.po.T if emit_latent else ():
         finite &= np.isfinite(col)
@@ -388,17 +380,13 @@ def sampled_panel_csv(sampler: AtomSampler, n: int, seed: int, emit_latent: bool
     memory stays O(COUNT_CHUNK + atoms drawn) at any n.
 
     A row is its unit id followed by text its atom fixes, so each drawn
-    atom's text is formatted once, when it is first drawn."""
+    atom's text is formatted once, by _row_texts, when it is first drawn."""
     yield _panel_header(emit_latent) + "\n"
-    joint = sampler.joint
     texts: dict[int, str] = {}
     for start, idx in sampler.index_chunks(n, seed):
         idx = idx.tolist()
         new = list(set(idx).difference(texts))
-        floats = [joint.y0[new], joint.y1[new], *(joint.po[new].T if emit_latent else ())]
-        for a, d0, d1, *ys in zip(new, joint.d0[new].tolist(), joint.d1[new].tolist(), *(f.tolist() for f in floats)):
-            # _fmt's text of a float, without its per-value type checks
-            texts[a] = ",".join([str(d0), str(d1), *map(_jsonio.format_float, ys)])
+        texts.update(zip(new, _row_texts(sampler.joint, new, emit_latent)))
         yield "".join([f"{unit},{texts[a]}\n" for unit, a in enumerate(idx, start)])
 
 
@@ -438,17 +426,13 @@ def write_outputs(report: SummaryReport, panels, out_dir) -> list:
     cells = report.oracle.get("cells", {})
     oracle_lines = ["d0,d1,prob,trend_mean,level_y0,level_y1"]
     for d0, d1 in CELLS:
-        st = cells.get(f"{d0}{d1}")
-        if st is None:
-            oracle_lines.append(f"{d0},{d1},{_fmt(0.0)},,,")
-        else:
-            oracle_lines.append(
-                f"{d0},{d1},{_fmt(st['prob'])},{_fmt(st['trend_mean'])},{_fmt(st['level_y0'])},{_fmt(st['level_y1'])}"
-            )
+        st = cells.get(f"{d0}{d1}", {"prob": 0.0})  # an absent cell: no mass, blank moments
+        stats = [st.get(key) for key in ("prob", "trend_mean", "level_y0", "level_y1")]
+        oracle_lines.append(f"{d0},{d1}," + ",".join(map(_fmt, stats)))
     _write_text("oracle.csv", ["\n".join(oracle_lines) + "\n"])
 
     if panels:
-        _write_text("panel.csv", ["\n".join(panel_csv_lines(panels[0], report.emit_latent)) + "\n"])
+        _write_text("panel.csv", (line + "\n" for line in panel_csv_lines(panels[0], report.emit_latent)))
     elif report.sampler is not None:
         seed = derive_seed(report.seed, 0)
         _write_text("panel.csv", sampled_panel_csv(report.sampler, report.n, seed, report.emit_latent))

@@ -5,8 +5,8 @@ plain tuples of atoms() below, on purpose: these must not share code paths
 (or numpy reductions) with the oracle module they check.  brute_joint
 enumerates a scenario's latent grid point by point, apart from the
 library's per-type numpy blocks.  The exceptions are the old
-implementations kept as bit references (brute_guide, brute_read_panel and
-the masked_* cell sums at the end).
+implementations kept as bit references (brute_guide, brute_panel_csv,
+brute_read_panel and the masked_* cell sums at the end).
 """
 
 from bisect import bisect_right
@@ -15,6 +15,7 @@ from itertools import product
 
 import numpy as np
 
+from didlab._jsonio import format_float
 from didlab._rng import uniform_at
 from didlab.core import CELLS, CellStats, LatentState, Panel, PotentialOutcomes
 from didlab.errors import LabError
@@ -360,6 +361,18 @@ def brute_guide(joint, m):
     and values."""
     cdf = np.append(np.cumsum(joint.prob), np.inf)
     return np.searchsorted(cdf, np.arange(m + 1) / m, side="right")
+
+
+def brute_panel_csv(panel, emit_latent):
+    """panel.csv's text for panel, one row at a time and each value on its
+    own: the bit reference for both panel.csv routes, which share one row
+    formatter."""
+    lines = [",".join(PANEL_HEADER_LATENT if emit_latent else PANEL_HEADER)]
+    for i in range(panel.n):
+        floats = [panel.y0[i], panel.y1[i], *(panel.po[i] if emit_latent else ())]
+        ids = [str(i), str(int(panel.d0[i])), str(int(panel.d1[i]))]
+        lines.append(",".join(ids + [format_float(float(v)) for v in floats]))
+    return "\n".join(lines) + "\n"
 
 
 def brute_read_panel(path):

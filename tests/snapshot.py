@@ -19,6 +19,9 @@ byte-identical leaves them equal.  The artifacts, for each config:
                 estimators fail in some replications and not in others, so
                 these pin the errors tallies and which estimates.csv rows
                 are left out
+  panel-given/  the panel.csv of write_outputs(report, [panel], dir) for the
+                given panel draw_panel(joint, GIVEN_N, GIVEN_SEED), without
+                and with emit_latent: the route that formats a Panel's rows
   readback/     read_panel_csv's columns (dtypes, shapes and bytes) on
                 experiment+'s panel.csv
   empirical/    the JSON of empirical_cell_table, partial_pt,
@@ -58,8 +61,8 @@ from didlab.diagnostics import (  # noqa: E402
     selection_stationarity,
 )
 from didlab.errors import LabError  # noqa: E402
-from didlab.harness import parse_config, read_panel_csv  # noqa: E402
-from didlab.scenarios import AtomSampler, build_joint  # noqa: E402
+from didlab.harness import parse_config, read_panel_csv, run_experiment, write_outputs  # noqa: E402
+from didlab.scenarios import AtomSampler, build_joint, draw_panel  # noqa: E402
 
 CORPUS_SEEDS = 3
 # the (n, seed) of the counts/ artifacts
@@ -68,6 +71,8 @@ COUNTS_SETTINGS = ((1, 0), (7, 13), (100_000, 2**64 - 1))
 PLUS_SETTINGS = ("--n", "2000", "--reps", "20", "--seed", "5", "--emit-latent")
 # the experiment- overrides, for the shipped configs
 MINUS_SETTINGS = ("--n", "4", "--reps", "40", "--seed", "5")
+# the units and seed of the panel-given artifacts' panel
+GIVEN_N, GIVEN_SEED = 2_000, 5
 
 # corpus family -> config maker, as the property tests draw them
 FAMILIES = {
@@ -190,6 +195,15 @@ def _empirical_bytes(path: Path) -> bytes:
     return json.dumps(doc, sort_keys=True).encode()
 
 
+def _given_panel_sha(text: str, emit_latent: bool, tmp: Path) -> str:
+    cfg = parse_config(text)
+    cfg.n, cfg.replications, cfg.emit_latent = GIVEN_N, 1, emit_latent
+    report = run_experiment(cfg)
+    panel = draw_panel(report.sampler.joint, GIVEN_N, GIVEN_SEED)
+    write_outputs(report, [panel], tmp / "panel-given")
+    return _sha((tmp / "panel-given" / "panel.csv").read_bytes())
+
+
 def _configs() -> dict[str, str]:
     texts = {f"shipped:{name}": corpus.shipped_text(name) for name in corpus.shipped_names()}
     seeds = corpus.seed_corpus()
@@ -229,6 +243,8 @@ def snapshot() -> list[str]:
                 code, _, _ = _run("experiment", str(path), "--out", str(out_dir), *extra)
                 for f in sorted(out_dir.iterdir()):
                     lines.append(f"{tag}/{label}/{f.name} {code} {_sha(f.read_bytes())}")
+            for tag, latent in (("plain", False), ("latent", True)):
+                lines.append(f"panel-given/{label}/{tag} {_given_panel_sha(text, latent, tmp)}")
             panel = tmp / "experiment+" / label.replace(":", "_") / "panel.csv"
             lines.append(f"readback/{label} {_sha(_readback_bytes(panel))}")
             lines.append(f"empirical/{label} {_sha(_empirical_bytes(panel))}")

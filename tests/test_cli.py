@@ -433,6 +433,50 @@ def test_experiment_summary_survives_subnormal_outcomes(capsys, tmp_path):
     assert any(0.0 < abs(agg["rmse"]) < 2.0**-1022 for agg in scalars)
 
 
+# validates; at --n 2 --reps 6 --seed 1 att_stationary's bias is -inf
+_OVERFLOWING_STOPPING = {
+    "scenario": "optimal_stopping",
+    "types": [
+        {"prob": 0.5, "k0": -1.0, "k1": 1.0, "beta": 0.9, "pmf": [[0.0, -1.5e308, 1.0]]},
+        {"prob": 0.5, "k0": 0.0, "k1": -1.6e308, "beta": 0.9, "pmf": [[0.0, -1.5e308, 1.0]]},
+    ],
+}
+
+
+def test_overflowing_aggregate_exits_2_before_writing(capsys, tmp_path):
+    """An aggregate past the float range is named by its summary pointer,
+    and the output directory is never created."""
+    path = tmp_path / "overflow.json"
+    path.write_text(json.dumps(_OVERFLOWING_STOPPING))
+    out_dir = tmp_path / "exp"
+    argv = ["--n", "2", "--reps", "6", "--seed", "1", "--out", str(out_dir)]
+    code, out, err = run(capsys, "experiment", str(path), *argv)
+    assert code == 2 and out == ""
+    assert err == (
+        "[non-finite] an aggregate over the replications overflows the float range"
+        " (at /estimators/att_stationary/bias)\n"
+    )
+    assert not out_dir.exists()
+
+
+def test_experiment_summary_survives_means_near_the_float_limit(capsys, tmp_path):
+    """The same run without the estimators whose bias overflows: means of
+    1.5e308 are computed on scaled values, and every aggregate is finite."""
+    path = tmp_path / "near_limit.json"
+    path.write_text(json.dumps(
+        {"scenario": _OVERFLOWING_STOPPING, "estimators": ["did_sharp", "did_switchers", "mts_bounds"]}
+    ))
+    out_dir = tmp_path / "exp"
+    code, _, _ = run(capsys, "experiment", str(path), "--n", "2", "--reps", "6", "--seed", "1", "--out", str(out_dir))
+    assert code == 0
+    aggregates = json.loads((out_dir / "summary.json").read_text())["estimators"]
+    for est_id in ("did_sharp", "did_switchers"):
+        assert aggregates[est_id]["mean"] == 1.5e308 and aggregates[est_id]["bias"] == 0.0
+    assert aggregates["mts_bounds"]["lower_mean"] == aggregates["mts_bounds"]["upper_mean"] == 1.5e308
+    for agg in aggregates.values():
+        assert all(math.isfinite(v) for v in agg.values() if isinstance(v, float)), agg
+
+
 @pytest.mark.parametrize("command", ["truth", "experiment"])
 def test_overflowing_oracle_values_exit_2(capsys, tmp_path, command):
     """Outcomes near the float limit make y1 - y0 overflow in the oracle: the

@@ -3,14 +3,19 @@
 import dataclasses
 import hashlib
 import json
+import math
+import tempfile
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from didlab import _jsonio, core, harness, scenarios
-from didlab.corpus import random_treated_learning, shipped_text
+from didlab.corpus import random_stopping, random_treated_learning, shipped_text
 from didlab.errors import LabError
 from didlab.estimators import ALL_ESTIMATORS, ESTIMATORS, ObservedCells
 from didlab.harness import (
@@ -25,6 +30,8 @@ from didlab.harness import (
 from didlab._rng import derive_seed
 from didlab.core import Panel
 from didlab.scenarios import RoyRepeated, build_joint, draw_panel
+
+from _brute import brute_panel_csv
 
 TOL = 1e-12
 
@@ -421,6 +428,73 @@ def test_each_config_object_validates_once(monkeypatch):
     assert len(calls) == 2 and calls[1] is replaced
 
 
+# Validates, yet counts times its outcomes overflow: at --n 2 --reps 6 --seed 1
+# att_stationary's bias is -inf and its rmse inf.
+_OVERFLOWING_STOPPING = json.dumps({
+    "scenario": "optimal_stopping",
+    "types": [
+        {"prob": 0.5, "k0": -1.0, "k1": 1.0, "beta": 0.9, "pmf": [[0.0, -1.5e308, 1.0]]},
+        {"prob": 0.5, "k0": 0.0, "k1": -1.6e308, "beta": 0.9, "pmf": [[0.0, -1.5e308, 1.0]]},
+    ],
+})
+
+
+def test_overflowing_cell_sums_warn_nothing_and_fail_as_non_finite():
+    """Two units on the (0,0) atom, whose y1 is -1.5e308, overflow its cell's
+    y1 sum: no numpy warning, and every estimator raises non-finite."""
+    joint = build_joint(parse_config(_OVERFLOWING_STOPPING).scenario)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        cells = ObservedCells(joint, [1, 2])
+    assert cells.mass == [2, 1, 0, 0] and cells.sum_y1[0] == -math.inf
+    for est_id in ALL_ESTIMATORS:
+        with pytest.raises(LabError) as err:
+            ESTIMATORS[est_id](cells)
+        assert err.value.code == "non-finite", est_id
+
+
+def _scaled_stopping(seed: int, k: int) -> str:
+    """corpus.random_stopping(seed) with every outcome and cost times 10^k, a
+    positive factor, which keeps every decision."""
+    doc = random_stopping(seed).to_json()
+    f = 10.0**k
+    for ty in doc["types"]:
+        ty["k0"], ty["k1"] = ty["k0"] * f, ty["k1"] * f
+        ty["pmf"] = [[y0 * f, y1 * f, p] for y0, y1, p in ty["pmf"]]
+    return json.dumps(doc)
+
+
+@given(
+    st.builds(_scaled_stopping, st.integers(0, 10**6), st.integers(0, 308)),
+    st.integers(1, 50),
+    st.integers(1, 8),
+    st.integers(0, 2**64 - 1),
+    st.booleans(),
+)
+@example(_OVERFLOWING_STOPPING, 2, 6, 1, False)
+@settings(max_examples=100, deadline=None)
+def test_experiment_path_writes_finite_files_or_raises_a_lab_error(text, n, reps, seed, emit_latent):
+    """Outcomes and costs up to the float limit: run_experiment then
+    write_outputs either write files whose every number is finite, or raise
+    a LabError (a rounding tau-inconsistent one included) before the output
+    directory exists."""
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "exp"
+        try:
+            cfg = parse_config(text)
+            cfg.n, cfg.replications, cfg.seed, cfg.emit_latent = n, reps, seed, emit_latent
+            write_outputs(run_experiment(cfg), [], out)
+        except LabError:
+            assert not out.exists()
+            return
+        summary = (out / "summary.json").read_text()
+        json.loads(summary, parse_constant=lambda name: pytest.fail(f"summary.json holds {name}"))
+        for name in ("estimates.csv", "oracle.csv", "panel.csv"):
+            for line in (out / name).read_text().splitlines()[1:]:
+                fields = [f for f in line.split(",") if f and f not in ESTIMATORS]
+                assert all(math.isfinite(float(f)) for f in fields), (name, line)
+
+
 # --- file outputs -----------------------------------------------------------------
 
 
@@ -493,6 +567,20 @@ def test_streamed_panel_csv_matches_drawn_panel(shipped, monkeypatch, tmp_path, 
         monkeypatch.setattr(_jsonio, "format_float", format_float)
         assert text == want
         assert len(calls) <= (6 if emit_latent else 2) * len(set(panel.atom_index.tolist()))
+
+
+@pytest.mark.parametrize("emit_latent", [False, True])
+def test_both_panel_csv_routes_match_a_value_by_value_reference(shipped_joints, monkeypatch, emit_latent):
+    """The given-panel and the streamed route share one row formatter, so
+    each is held to a reference that formats every value on its own; slices
+    of 7 rows for both."""
+    monkeypatch.setattr(harness, "_SLICE_ROWS", 7)
+    monkeypatch.setattr(scenarios, "COUNT_CHUNK", 7)
+    for joint in shipped_joints.values():
+        panel = draw_panel(joint, 40, 4)
+        want = brute_panel_csv(panel, emit_latent)
+        assert "\n".join(panel_csv_lines(panel, emit_latent)) + "\n" == want
+        assert "".join(harness.sampled_panel_csv(scenarios.AtomSampler(joint), 40, 4, emit_latent)) == want
 
 
 def test_write_outputs_prefers_given_panel(small_report, tmp_path):
@@ -573,6 +661,15 @@ def test_emit_latent_needs_latent_columns():
     with pytest.raises(LabError) as err:
         list(panel_csv_lines(panel, emit_latent=True))
     assert err.value.code == "latent-required"
+
+
+def test_panel_csv_lines_rejects_a_non_finite_panel():
+    """panel_csv_lines runs write_outputs' panel check: a nan is non-finite,
+    named by its unit and column, not a ValueError from the float formatter."""
+    panel = Panel(d0=[0, 1], d1=[1, 1], y0=[0.5, float("nan")], y1=[1.0, 3.0])
+    with pytest.raises(LabError) as err:
+        list(panel_csv_lines(panel, emit_latent=False))
+    assert err.value.code == "non-finite" and "panel unit 1, column y0" in str(err.value)
 
 
 # payload -> (code, message); the message is followed by " (at PATH)"
