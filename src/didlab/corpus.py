@@ -31,8 +31,6 @@ from .scenarios import (
     TreatedArmLearning,
     TreatedLearningType,
     build_joint,
-    posterior_mean_or_prior,
-    prior_mean,
     scenario_from_json,
 )
 
@@ -145,14 +143,8 @@ def _known_means_type(rng: random.Random, prob: float, mu00: float, tau: float) 
             costs=CostTable(k0=k0, k1=k1),
             beta=0.9,
         )
-        gain1 = (mu11 - k1_entry) - (mu00 + tau)
-        if abs(gain1) < MARGIN:
-            continue
-        w1 = max(mu11 - k1_entry, mu00 + tau)
-        gains = (mu01 - k0[1]) - mu00 + 0.9 * (w1 - w1)
-        if abs(gains) < MARGIN:
-            continue
-        return ty
+        if abs(ty._g1(0)) >= MARGIN and abs(ty._trace.gains) >= MARGIN:
+            return ty
 
 
 def random_known_means(seed: int) -> NoLearning:
@@ -174,11 +166,11 @@ def random_known_means(seed: int) -> NoLearning:
 # treated-arm learning
 
 
-def _two_point_prior(rng: random.Random, lo: float = 0.05, hi: float = 0.95):
-    a = rng.uniform(lo, hi)
-    b = rng.uniform(lo, hi)
+def _two_point_prior(rng: random.Random):
+    a = rng.uniform(0.05, 0.95)
+    b = rng.uniform(0.05, 0.95)
     while abs(a - b) < 0.05:
-        b = rng.uniform(lo, hi)
+        b = rng.uniform(0.05, 0.95)
     w = rng.uniform(0.2, 0.8)
     return ((min(a, b), w), (max(a, b), 1.0 - w))
 
@@ -186,7 +178,6 @@ def _two_point_prior(rng: random.Random, lo: float = 0.05, hi: float = 0.95):
 def _treated_learning_type(
     rng: random.Random, prob: float, mu_ctrl: tuple[float, float]
 ) -> TreatedArmLearning:
-    m1 = mu_ctrl[1]
     while True:
         prior = _two_point_prior(rng)
         k0 = (0.0, rng.uniform(0.0, 0.4))
@@ -195,17 +186,10 @@ def _treated_learning_type(
         ty = TreatedLearningType(
             prob=prob, prior=prior, mu_ctrl=mu_ctrl, costs=CostTable(k0=k0, k1=k1), beta=0.9
         )
-        ybar = prior_mean(prior)
-        margins = [abs(ybar - m1 - k1_entry)]
-        for obs in (0, 1):
-            post = posterior_mean_or_prior(prior, obs)
-            margins.append(abs(post - m1 - k1_entry))
-        if min(margins) < MARGIN:
-            continue
-        # the period-0 margin of the scenario's own decision rule
-        if abs(ty._gains[0]) < MARGIN:
-            continue
-        return ty
+        # the period-1 margins (an impossible observation has none) and the
+        # period-0 one
+        if min(abs(g) for g in ty._g1 if g is not None) >= MARGIN and abs(ty._gains[0]) >= MARGIN:
+            return ty
 
 
 def random_treated_learning(seed: int) -> TreatedArmLearning:
@@ -230,20 +214,16 @@ def _control_type_interior(rng: random.Random, prob: float, a: float, ktilde1: f
     posterior band, with interior arm qualities so the untreated outcome
     actually moves."""
     while True:
-        prior = _two_point_prior(rng, lo=0.05, hi=0.95)
-        l0 = posterior_mean_or_prior(prior, 0)
-        l1 = posterior_mean_or_prior(prior, 1)
-        if l0 + MARGIN <= a <= l1 - MARGIN:
-            return ControlLearningType(prob=prob, prior=prior, mu_treat1=a + ktilde1, ktilde1=ktilde1)
+        ty = ControlLearningType(prob=prob, prior=_two_point_prior(rng), mu_treat1=a + ktilde1, ktilde1=ktilde1)
+        if ty._post_or_prior(0) + MARGIN <= a <= ty._post_or_prior(1) - MARGIN:
+            return ty
 
 
 def _control_type_outside(rng: random.Random, prob: float, a: float, ktilde1: float) -> ControlLearningType:
     while True:
-        prior = _two_point_prior(rng, lo=0.05, hi=0.95)
-        l0 = posterior_mean_or_prior(prior, 0)
-        l1 = posterior_mean_or_prior(prior, 1)
-        if a < l0 - MARGIN or a > l1 + MARGIN:
-            return ControlLearningType(prob=prob, prior=prior, mu_treat1=a + ktilde1, ktilde1=ktilde1)
+        ty = ControlLearningType(prob=prob, prior=_two_point_prior(rng), mu_treat1=a + ktilde1, ktilde1=ktilde1)
+        if a < ty._post_or_prior(0) - MARGIN or a > ty._post_or_prior(1) + MARGIN:
+            return ty
 
 
 def _control_type_degenerate(rng: random.Random, prob: float, a: float, ktilde1: float) -> ControlLearningType:

@@ -12,12 +12,12 @@ also carries its own parallel-trends condition (conditions()), its catalog
 note, and its JSON fields, declared once (json_fields); ScenarioConfig
 lists the whole protocol.
 
-A type's decision quantities (its trace, prior mean, posteriors, gains,
-continuation values) live on the type object: each is computed once, on its
-first read, and shared by validate() and decide() and by every config that
-holds the type; a config keeps validate()'s report the same way.  The cached
-values are not fields, so equality, hashing and dataclasses.replace() see the
-fields alone.
+A type's decision quantities (its trace, prior mean, posteriors, period-0 and
+period-1 gains, continuation values) live on the type object: each is computed
+once, on its first read, and shared by validate(), decide() and the corpus
+randomizers, and by every config that holds the type; a config keeps
+validate()'s report the same way.  The cached values are not fields, so
+equality, hashing and dataclasses.replace() see the fields alone.
 
 Tie-breaking: the forward-looking choice scenarios treat at indifference
 (threshold statistic >= 0); the stopping scenario stops at indifference
@@ -93,6 +93,17 @@ def _bern(y: int, p: float) -> float:
 def _bern_col(y: np.ndarray, p) -> np.ndarray:
     """_bern row by row: the same float operations, so the same bits."""
     return np.where(y == 1.0, p, 1.0 - p)
+
+
+def _bernoulli_grid(latent: list, po: np.ndarray = _PO16):
+    """The grid block of independent Bernoulli outcomes: each latent row
+    (type, weight, Bernoulli means of y00, y01, y10, y11) crossed with the
+    outcome tuples po, in that order.  A row's probability is the weight
+    times the four Bernoulli factors, multiplied left to right."""
+    u, w, m00, m01, m10, m11 = np.array(latent, dtype=np.float64).reshape(-1, 6).T[:, :, None]
+    y = po.T
+    p = w * _bern_col(y[0], m00) * _bern_col(y[1], m01) * _bern_col(y[2], m10) * _bern_col(y[3], m11)
+    return np.repeat(u.ravel().astype(np.int64), len(po)), np.tile(po, (len(u), 1)), p.ravel()
 
 
 def prior_mean(prior: Prior) -> float:
@@ -178,6 +189,16 @@ class _Learner:
         post = self._post[y]
         return self._mean if post is None else post
 
+    def _observed(self, state: LatentState, d: int) -> int:
+        """The period-0 outcome Y_0(d) the type observes in state, or
+        state-not-in-support where it is not 0/1 or the prior rules it out."""
+        y = state.po.y[0][d]
+        if y not in (0.0, 1.0):
+            raise LabError("state-not-in-support", f"binary scenario got Y_0({d}) = {y!r}")
+        if self._post[int(y)] is None:
+            raise LabError("state-not-in-support", f"Y_0({d}) = {int(y)} impossible under types[{state.u0_type}] prior")
+        return int(y)
+
 
 @dataclass(frozen=True)
 class DecisionTrace:
@@ -219,8 +240,9 @@ def _check_unit(report: ValidationReport, x: float, where: str, *args) -> None:
         report.add("prob-range", f"{where.format(*args)} = {x!r} outside [0, 1]", x)
 
 
-def _check_common_trend(report: ValidationReport, taus: list[float]) -> None:
-    if taus and max(taus) - min(taus) > EXACT_TOL:
+def _check_common_trend(report: ValidationReport, taus: list[float], scale: float = 1.0) -> None:
+    """One untreated trend across types, to EXACT_TOL times scale (the largest |outcome|, at least 1)."""
+    if taus and max(taus) - min(taus) > EXACT_TOL * scale:
         report.add(
             "tau-inconsistent",
             f"untreated trend varies across types: {min(taus)!r} .. {max(taus)!r}",
@@ -428,6 +450,12 @@ class ScenarioConfig(_Record):
     def to_json(self) -> dict:
         return {"scenario": self.scenario_id, **_encode(self)}
 
+    def _type(self, u: int):
+        """types[u] of a type-list scenario, or state-not-in-support."""
+        if not 0 <= u < len(self.types):
+            raise LabError("state-not-in-support", f"type index {u} out of range")
+        return self.types[u]
+
     @_once
     def _validation(self) -> ValidationReport:
         """validate()'s report, once per config; validate_scenario hands out
@@ -558,20 +586,13 @@ class NoLearning(ScenarioConfig):
         return rep
 
     def decide(self, state: LatentState) -> DecisionTrace:
-        if not 0 <= state.u0_type < len(self.types):
-            raise LabError("state-not-in-support", f"type index {state.u0_type} out of range")
-        return self.types[state.u0_type]._trace
+        return self._type(state.u0_type)._trace
 
     def _grid_size(self) -> int:
         return 16 * len(self.types)
 
     def _grid(self):
-        k = len(self.types)
-        mu = np.array([ty.mu for ty in self.types], dtype=np.float64).reshape(k, 1, 4)
-        prob = np.array([ty.prob for ty in self.types], dtype=np.float64).reshape(k, 1)
-        b = _bern_col(_PO16, mu)  # (type, outcome tuple, column)
-        p = prob * b[..., 0] * b[..., 1] * b[..., 2] * b[..., 3]
-        return np.repeat(np.arange(k), 16), np.tile(_PO16, (k, 1)), p.ravel()
+        return _bernoulli_grid([(i, ty.prob, *ty.mu[0], *ty.mu[1]) for i, ty in enumerate(self.types)])
 
     def conditions(self, arr, gap) -> dict:
         """Parallel trends holds for every validated config: decisions depend
@@ -608,6 +629,15 @@ class TreatedLearningType(_Learner, _Record):
         gains = (self._mean - k0[1]) - (self.mu_ctrl[0] - k0[0]) + self.beta * (w1_treated - w1_untreated)
         return gains, (w1_untreated, w1_treated)
 
+    @_once
+    def _g1(self) -> tuple[float, Optional[float], Optional[float]]:
+        """The period-1 gain from treatment after an untreated period 0, and
+        after a treated one that showed Y_0(1) = 0 and 1 (None where that
+        observation is impossible)."""
+        k1 = self.costs.k1
+        after = [None if post is None else post - self.mu_ctrl[1] - (k1[1][1] - k1[1][0]) for post in self._post]
+        return (self._mean - self.mu_ctrl[1] - (k1[0][1] - k1[0][0]), *after)
+
 
 @dataclass(frozen=True)
 class TreatedArmLearning(ScenarioConfig):
@@ -636,45 +666,21 @@ class TreatedArmLearning(ScenarioConfig):
                 rep.add("beta-range", f"beta = {ty.beta!r} outside (0,1)", f"types[{i}]")
             taus.append(ty.mu_ctrl[1] - ty.mu_ctrl[0])
             if rep.ok:
-                self._warn_type(rep, ty, i)
+                _warn_edge(rep, ty._g1[0], "types[{}] period-1 gain given d0=0", i)
+                for y, gain in enumerate(ty._g1[1:]):
+                    if _bern(y, ty._mean) != 0.0 and gain is not None:
+                        _warn_edge(rep, gain, "types[{}] period-1 gain given d0=1, y01={}", i, y)
+                _warn_edge(rep, ty._gains[0], "types[{}] period-0 gain", i)
         _check_common_trend(rep, taus)
         return rep
 
-    def _warn_type(self, rep: ValidationReport, ty: TreatedLearningType, i: int) -> None:
-        k1 = ty.costs.k1
-        _warn_edge(rep, ty._mean - ty.mu_ctrl[1] - (k1[0][1] - k1[0][0]), "types[{}] period-1 gain given d0=0", i)
-        for y, post in enumerate(ty._post):
-            if _bern(y, ty._mean) == 0.0 or post is None:
-                continue
-            _warn_edge(
-                rep,
-                post - ty.mu_ctrl[1] - (k1[1][1] - k1[1][0]),
-                "types[{}] period-1 gain given d0=1, y01={}",
-                i,
-                y,
-            )
-        _warn_edge(rep, ty._gains[0], "types[{}] period-0 gain", i)
-
     def decide(self, state: LatentState) -> DecisionTrace:
-        if not 0 <= state.u0_type < len(self.types):
-            raise LabError("state-not-in-support", f"type index {state.u0_type} out of range")
-        ty = self.types[state.u0_type]
-        y01 = state.po.y[0][1]
-        if y01 not in (0.0, 1.0):
-            raise LabError("state-not-in-support", f"binary scenario got Y_0(1) = {y01!r}")
-        k1 = ty.costs.k1
-        d1_untreated = int(ty._mean - ty.mu_ctrl[1] - (k1[0][1] - k1[0][0]) >= 0)
-        post = ty._post[int(y01)]
-        if post is None:
-            raise LabError(
-                "state-not-in-support",
-                f"Y_0(1) = {int(y01)} impossible under types[{state.u0_type}] prior",
-            )
-        d1_treated = int(post - ty.mu_ctrl[1] - (k1[1][1] - k1[1][0]) >= 0)
+        ty = self._type(state.u0_type)
+        g1_treated = ty._g1[1 + ty._observed(state, 1)]
         gains, continuation = ty._gains
         return DecisionTrace(
             d0=int(gains >= 0),
-            d1_given=(d1_untreated, d1_treated),
+            d1_given=(int(ty._g1[0] >= 0), int(g1_treated >= 0)),
             continuation=continuation,
             gains=gains,
         )
@@ -683,22 +689,14 @@ class TreatedArmLearning(ScenarioConfig):
         return 16 * sum(len(ty.prior) for ty in self.types)
 
     def _grid(self):
-        # one row per (type, prior point), crossed with the 16 outcome tuples
-        latent = np.array(
-            [(i, ty.prob, w, theta, *ty.mu_ctrl) for i, ty in enumerate(self.types) for theta, w in ty.prior],
-            dtype=np.float64,
-        ).reshape(-1, 6)
-        u, prob, w_theta, theta, ctrl0, ctrl1 = latent.T[:, :, None]
-        y = _PO16.T
-        p = (
-            prob
-            * w_theta
-            * _bern_col(y[0], ctrl0)
-            * _bern_col(y[1], theta)
-            * _bern_col(y[2], ctrl1)
-            * _bern_col(y[3], theta)
+        # one row per (type, prior point)
+        return _bernoulli_grid(
+            [
+                (i, ty.prob * w, ty.mu_ctrl[0], theta, ty.mu_ctrl[1], theta)
+                for i, ty in enumerate(self.types)
+                for theta, w in ty.prior
+            ]
         )
-        return np.repeat(u.ravel().astype(np.int64), 16), np.tile(_PO16, (len(latent), 1)), p.ravel()
 
     def conditions(self, arr, gap) -> dict:
         """Parallel trends holds for every validated config: only treated
@@ -784,19 +782,9 @@ class ControlArmLearning(ScenarioConfig):
         return rep
 
     def decide(self, state: LatentState) -> DecisionTrace:
-        if not 0 <= state.u0_type < len(self.types):
-            raise LabError("state-not-in-support", f"type index {state.u0_type} out of range")
-        ty = self.types[state.u0_type]
-        y00 = state.po.y[0][0]
-        if y00 not in (0.0, 1.0):
-            raise LabError("state-not-in-support", f"binary scenario got Y_0(0) = {y00!r}")
+        ty = self._type(state.u0_type)
+        l_obs = ty._post[ty._observed(state, 0)]
         a = ty.mu_treat1 - ty.ktilde1
-        l_obs = ty._post[int(y00)]
-        if l_obs is None:
-            raise LabError(
-                "state-not-in-support",
-                f"Y_0(0) = {int(y00)} impossible under types[{state.u0_type}] prior",
-            )
         d1_untreated = int(a >= l_obs)
         # counterfactual history d0=1: no untreated draw was seen, beliefs stay at the prior
         d1_treated = int(a >= ty._mean)
@@ -812,15 +800,16 @@ class ControlArmLearning(ScenarioConfig):
 
     def _grid(self):
         # one row per (type, prior point), crossed with the 8 outcome tuples:
-        # nobody is treated in period 0, so Y_0(1) never shows; it is stored as 0
-        latent = np.array(
-            [(i, ty.prob, w, theta, ty.mu_treat1) for i, ty in enumerate(self.types) for theta, w in ty.prior],
-            dtype=np.float64,
-        ).reshape(-1, 5)
-        u, prob, w_theta, theta, treat1 = latent.T[:, :, None]
-        y = _PO8.T
-        p = prob * w_theta * _bern_col(y[0], theta) * _bern_col(y[2], theta) * _bern_col(y[3], treat1)
-        return np.repeat(u.ravel().astype(np.int64), 8), np.tile(_PO8, (len(latent), 1)), p.ravel()
+        # nobody is treated in period 0, so Y_0(1) never shows; it is stored
+        # as 0, a Bernoulli(0) draw whose factor is exactly 1
+        return _bernoulli_grid(
+            [
+                (i, ty.prob * w, theta, 0.0, theta, ty.mu_treat1)
+                for i, ty in enumerate(self.types)
+                for theta, w in ty.prior
+            ],
+            _PO8,
+        )
 
     def classify_learners(self) -> LearnerClassification:
         """Classify each type by comparing the treated value a = mu_treat1 -
@@ -1047,6 +1036,7 @@ class OptimalStopping(ScenarioConfig):
         rep = ValidationReport()
         _check_pmf(rep, [t.prob for t in self.types], "types")
         taus = []
+        scale = 1.0
         for i, ty in enumerate(self.types):
             _check_pmf(rep, [p for _, p in ty.pmf], "types[{}].pmf", i)
             if not ty.pmf:
@@ -1062,16 +1052,15 @@ class OptimalStopping(ScenarioConfig):
             if not rep.ok:
                 continue
             taus.append(sum(p * (y1 - y0) for (y0, y1), p in ty.pmf))
+            scale = max(scale, *(abs(y) for po, _ in ty.pmf for y in po))
             for y0 in ty._by_y0[0]:  # its support
                 _warn_edge(rep, ty._m(y0) - ty.k1, "types[{}] period-1 margin at y0={!r}", i, y0)
             _warn_edge(rep, ty._cont0, "types[{}] period-0 continuation value", i)
-        _check_common_trend(rep, taus)
+        _check_common_trend(rep, taus, scale)
         return rep
 
     def decide(self, state: LatentState) -> DecisionTrace:
-        if not 0 <= state.u0_type < len(self.types):
-            raise LabError("state-not-in-support", f"type index {state.u0_type} out of range")
-        ty = self.types[state.u0_type]
+        ty = self._type(state.u0_type)
         mu = ty._m(state.po.y[0][0])  # raises state-not-in-support off the grid
         cont0 = ty._cont0
         return DecisionTrace(

@@ -11,14 +11,21 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from didlab import corpus
-from didlab.core import BoundsInterval, Panel, validate_scenario
+from didlab.core import EXACT_TOL, PMF_TOL, BoundsInterval, Panel, validate_scenario
 from didlab.corpus import random_config
 from didlab.diagnostics import empirical_cell_table, partial_pt, selection_stationarity
 from didlab.errors import LabError
 from didlab.estimators import ALL_ESTIMATORS, ESTIMATORS, ObservedCells, did_switchers, mts_bounds
 from didlab.harness import PANEL_HEADER, PANEL_HEADER_LATENT, oracle_block, panel_csv_lines, parse_config, read_panel_csv
 from didlab.oracle import cell_table, pt_deviation
-from didlab.scenarios import AtomSampler, build_joint, draw_panel, posterior_mean
+from didlab.scenarios import (
+    AtomSampler,
+    ControlArmLearning,
+    ControlLearningType,
+    build_joint,
+    draw_panel,
+    posterior_mean,
+)
 
 from _brute import brute_estimates, brute_posterior, brute_read_panel
 
@@ -279,6 +286,38 @@ def test_posterior_stays_in_hull(prior):
         assume(mass > 1e-9)
         p = posterior_mean(prior, [obs])
         assert lo - 1e-12 <= p <= hi + 1e-12
+
+
+@st.composite
+def band_priors(draw):
+    """1-4 rates, the extremes 0, 1, 5e-324 and 1e-300 among them, with
+    non-negative weights that sum to 1 + e, |e| <= PMF_TOL, before rounding,
+    with e = +-PMF_TOL / 2 often."""
+    k = draw(st.integers(1, 4))
+    rates = draw(st.lists(st.sampled_from([0.0, 1.0, 5e-324, 1e-300]) | st.floats(0.0, 1.0), min_size=k, max_size=k))
+    raw = draw(st.lists(st.floats(0.0, 1.0), min_size=k, max_size=k).filter(lambda w: sum(w) > 0.0))
+    total = sum(raw) / (1.0 + draw(st.sampled_from([-PMF_TOL / 2, PMF_TOL / 2]) | st.floats(-PMF_TOL, PMF_TOL)))
+    return tuple((t, w / total) for t, w in zip(rates, raw))
+
+
+@given(band_priors())
+@example(((1.0, 1.0000000005),))
+@settings(max_examples=300, deadline=None)
+def test_control_learner_belief_band_is_ordered_unless_observing_0_is_impossible(prior):
+    """l1 - l0 = Var theta / (E theta E(1 - theta)) >= 0, and the computed
+    band keeps that order within EXACT_TOL, except where observing 0 is
+    impossible: l0 then falls back to the prior mean, the prior's weight sum,
+    which can pass l1 = 1 by up to PMF_TOL.  posterior-not-monotone rejects
+    exactly the inverted bands, so every type that validates has l0 <= l1 +
+    EXACT_TOL."""
+    ty = ControlLearningType(prob=1.0, prior=prior, mu_treat1=0.5, ktilde1=0.0)
+    rules = {v.rule for v in validate_scenario(ControlArmLearning(types=(ty,))).violations}
+    assume(rules <= {"posterior-not-monotone"})  # every check before that rule passed
+    l0, l1 = ty._post_or_prior(0), ty._post_or_prior(1)
+    inverted = l0 > l1 + EXACT_TOL
+    assert ("posterior-not-monotone" in rules) == inverted
+    if inverted:
+        assert ty._post[0] is None and l1 == 1.0
 
 
 # every corpus family, each given the parallel-trends switch pt (None lets

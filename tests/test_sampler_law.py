@@ -186,3 +186,19 @@ def test_multinomial_reads_uniforms_in_order_and_o_of_atoms_of_them(shipped_join
         AtomSampler(joint).multinomial(10**9, 17)
         assert read == list(range(len(read))), name
         assert len(read) <= 3 * len(joint.prob), (name, len(read))
+
+
+def test_inversion_starts_over_for_a_uniform_past_the_pmf_sum():
+    """At n = 2, p = 167/401 the pmf's float sum falls 2^-52 short of 1, so
+    the uniform 1 - 2^-53 lands past it: the draw reads a fresh uniform and
+    is that uniform's draw alone."""
+    read = []
+
+    def uniform(stream=iter([1.0 - 2.0**-53, 0.5])):
+        read.append(next(stream))
+        return read[-1]
+
+    p = 167 / 401
+    alone = scenarios._binomial_inversion(2, p, iter([0.5]).__next__)
+    assert scenarios._binomial_inversion(2, p, uniform) == alone == 1
+    assert read == [1.0 - 2.0**-53, 0.5]
