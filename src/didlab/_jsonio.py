@@ -12,9 +12,10 @@ import math
 
 
 def format_float(x: float) -> str:
-    if math.isnan(x) or math.isinf(x):
+    # x is a float: callers convert ints first (int.is_integer is Python 3.12+)
+    if not math.isfinite(x):
         raise ValueError(f"non-finite float in JSON output: {x!r}")
-    if x == int(x) and abs(x) < 1e16:
+    if x.is_integer() and abs(x) < 1e16:
         # keep integral floats compact and unambiguous
         return f"{x:.1f}"
     return format(x, ".17g")

@@ -63,6 +63,8 @@ _SLICE_ROWS = 2**10
 
 PANEL_HEADER = ("unit", "d0", "d1", "y0", "y1")
 PANEL_HEADER_LATENT = PANEL_HEADER + ("y00", "y01", "y10", "y11")
+# a panel.csv row's "d0,d1," text, indexed by 2 * d0 + d1
+_PATH_PREFIX = ("0,0,", "0,1,", "1,0,", "1,1,")
 
 
 @dataclass
@@ -339,30 +341,43 @@ def _panel_header(emit_latent: bool) -> str:
 def _row_texts(cols, rows, emit_latent: bool) -> list:
     """The "d0,d1,y0,y1" text, with ",y00,y01,y10,y11" under emit_latent, of
     the given rows (indices or a slice) of cols, a JointDistribution or a
-    Panel: each one a panel.csv row without its unit id."""
+    Panel with 0/1 treatments: each one a panel.csv row without its unit id."""
     fmt = _jsonio.format_float
-    columns = [cols.d0[rows], cols.d1[rows], cols.y0[rows], cols.y1[rows], *(cols.po[rows].T if emit_latent else ())]
-    return [",".join([str(d0), str(d1), *map(fmt, ys)]) for d0, d1, *ys in zip(*(c.tolist() for c in columns))]
+    paths = (2 * cols.d0[rows] + cols.d1[rows]).tolist()
+    columns = [cols.y0[rows], cols.y1[rows], *(cols.po[rows].T if emit_latent else ())]
+    return [_PATH_PREFIX[k] + ",".join(map(fmt, ys)) for k, *ys in zip(paths, *(c.tolist() for c in columns))]
+
+
+def _panel_blocks(panel: Panel, emit_latent: bool):
+    """Yield panel.csv's body for panel, without _check_panel: one
+    newline-terminated block per _SLICE_ROWS rows."""
+    for start in range(0, panel.n, _SLICE_ROWS):
+        texts = enumerate(_row_texts(panel, slice(start, start + _SLICE_ROWS), emit_latent), start)
+        yield "".join([f"{unit},{text}\n" for unit, text in texts])
 
 
 def panel_csv_lines(panel: Panel, emit_latent: bool):
     """Yield panel.csv lines (no trailing newline), after _check_panel:
-    latent columns need the panel to carry potential outcomes, and every
-    value written must be finite."""
+    latent columns need the panel to carry potential outcomes, the
+    treatments must be 0 or 1, and every value written must be finite."""
     _check_panel(panel, emit_latent)
     yield _panel_header(emit_latent)
-    for start in range(0, panel.n, _SLICE_ROWS):
-        texts = _row_texts(panel, slice(start, start + _SLICE_ROWS), emit_latent)
-        yield from (f"{unit},{text}" for unit, text in enumerate(texts, start))
+    for block in _panel_blocks(panel, emit_latent):
+        yield from block.splitlines()
 
 
 def _check_panel(panel: Panel, emit_latent: bool) -> None:
     """Raise latent-required if emit_latent asks for latent columns panel
-    lacks, then non-finite, naming the unit and column, at the first nan or
-    inf among the floats panel.csv would hold for panel (y0, y1, and the
-    latent columns under emit_latent): read_panel_csv rejects such a file."""
+    lacks, then schema-error at the first d0 or d1 outside {0, 1}, then
+    non-finite at the first nan or inf among the floats panel.csv would hold
+    (y0, y1, and the latent columns under emit_latent), each naming the unit
+    and column: read_panel_csv rejects such a file."""
     if emit_latent and not panel.has_latent:
         raise LabError("latent-required", "panel has no latent columns to emit")
+    bad = np.flatnonzero((panel.d0 | panel.d1) & ~1)
+    if bad.size:
+        unit, name = int(bad[0]), "d0" if panel.d0[bad[0]] & ~1 else "d1"
+        raise LabError("schema-error", f"panel unit {unit}, column {name}: {getattr(panel, name)[unit]} is not 0 or 1")
     finite = np.isfinite(panel.y0) & np.isfinite(panel.y1)
     for col in panel.po.T if emit_latent else ():
         finite &= np.isfinite(col)
@@ -393,13 +408,13 @@ def sampled_panel_csv(sampler: AtomSampler, n: int, seed: int, emit_latent: bool
 def write_outputs(report: SummaryReport, panels, out_dir) -> list:
     """Write summary.json, estimates.csv, oracle.csv, panel.csv into out_dir.
 
-    panel.csv holds panels[0] when panels is nonempty; otherwise it replays
-    replication 0 from report.sampler, streamed chunk by chunk, and without
-    a sampler it is not written.  All files are UTF-8 with LF endings and
-    17-significant-digit floats; identical reports produce byte-identical
-    directories.  A panel with a nan or inf to write raises non-finite, and
-    one without the latent columns emit_latent asks for latent-required,
-    before the directory is created."""
+    panel.csv holds panels[0], written one block per _SLICE_ROWS rows, when
+    panels is nonempty; otherwise it replays replication 0 from
+    report.sampler, streamed chunk by chunk, and without a sampler it is not
+    written.  All files are UTF-8 with LF endings and 17-significant-digit
+    floats; identical reports produce byte-identical directories.  A panel
+    that fails _check_panel (latent-required, schema-error or non-finite)
+    raises before the directory is created."""
     if panels:
         _check_panel(panels[0], report.emit_latent)
     out = Path(out_dir)
@@ -432,7 +447,8 @@ def write_outputs(report: SummaryReport, panels, out_dir) -> list:
     _write_text("oracle.csv", ["\n".join(oracle_lines) + "\n"])
 
     if panels:
-        _write_text("panel.csv", (line + "\n" for line in panel_csv_lines(panels[0], report.emit_latent)))
+        blocks = _panel_blocks(panels[0], report.emit_latent)
+        _write_text("panel.csv", chain([_panel_header(report.emit_latent) + "\n"], blocks))
     elif report.sampler is not None:
         seed = derive_seed(report.seed, 0)
         _write_text("panel.csv", sampled_panel_csv(report.sampler, report.n, seed, report.emit_latent))

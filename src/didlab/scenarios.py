@@ -29,7 +29,7 @@ convention.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from functools import partial
 from itertools import count, product
 from typing import Callable, NamedTuple, Optional, Sequence
@@ -729,9 +729,6 @@ class LearnerClassification:
     p_vl1: float
     persistence_on_vl: float
     tau: float
-
-    def to_json(self) -> dict:
-        return asdict(self)
 
 
 @dataclass(frozen=True)

@@ -5,17 +5,17 @@ plain tuples of atoms() below, on purpose: these must not share code paths
 (or numpy reductions) with the oracle module they check.  brute_joint
 enumerates a scenario's latent grid point by point, apart from the
 library's per-type numpy blocks.  The exceptions are the old
-implementations kept as bit references (brute_guide, brute_panel_csv,
-brute_read_panel and the masked_* cell sums at the end).
+implementations kept as bit references (brute_guide, brute_format_float,
+brute_panel_csv, brute_read_panel and the masked_* cell sums at the end).
 """
 
+import math
 from bisect import bisect_right
 from collections import defaultdict, namedtuple
 from itertools import product
 
 import numpy as np
 
-from didlab._jsonio import format_float
 from didlab._rng import uniform_at
 from didlab.core import CELLS, CellStats, LatentState, Panel, PotentialOutcomes
 from didlab.errors import LabError
@@ -363,6 +363,26 @@ def brute_guide(joint, m):
     return np.searchsorted(cdf, np.arange(m + 1) / m, side="right")
 
 
+# format_float's edges: signed zeros, either side of the 1e16 cut-off for
+# integral floats, the first integers a double skips, the subnormal and
+# float-limit ends, and two values that take all 17 digits
+EDGE_FLOATS = (
+    0.0, -0.0, 1e16 - 2, -(1e16 - 2), 1e16, -1e16, float(2**53), float(2**53 + 2),
+    5e-324, 1e-300, 1.5e308, -1.5e308, 0.1, 1 / 3,
+)
+
+
+def brute_format_float(x: float) -> str:
+    """_jsonio.format_float as it was before its one finiteness test.  Kept
+    verbatim as the reference the formatter must match, text and errors."""
+    if math.isnan(x) or math.isinf(x):
+        raise ValueError(f"non-finite float in JSON output: {x!r}")
+    if x == int(x) and abs(x) < 1e16:
+        # keep integral floats compact and unambiguous
+        return f"{x:.1f}"
+    return format(x, ".17g")
+
+
 def brute_panel_csv(panel, emit_latent):
     """panel.csv's text for panel, one row at a time and each value on its
     own: the bit reference for both panel.csv routes, which share one row
@@ -371,7 +391,7 @@ def brute_panel_csv(panel, emit_latent):
     for i in range(panel.n):
         floats = [panel.y0[i], panel.y1[i], *(panel.po[i] if emit_latent else ())]
         ids = [str(i), str(int(panel.d0[i])), str(int(panel.d1[i]))]
-        lines.append(",".join(ids + [format_float(float(v)) for v in floats]))
+        lines.append(",".join(ids + [brute_format_float(float(v)) for v in floats]))
     return "\n".join(lines) + "\n"
 
 

@@ -22,6 +22,11 @@ byte-identical leaves them equal.  The artifacts, for each config:
   panel-given/  the panel.csv of write_outputs(report, [panel], dir) for the
                 given panel draw_panel(joint, GIVEN_N, GIVEN_SEED), without
                 and with emit_latent: the route that formats a Panel's rows
+  panel-edge/   the panel.csv of write_outputs(report, [panel], dir), without
+                and with emit_latent, for one hand-built panel (edge_panel)
+                of 2 * _SLICE_ROWS + 7 units: all four treatment paths and
+                the formatter's edge floats (_brute.EDGE_FLOATS) in every
+                float column
   readback/     read_panel_csv's columns (dtypes, shapes and bytes) on
                 experiment+'s panel.csv
   empirical/    the JSON of empirical_cell_table, partial_pt,
@@ -34,13 +39,14 @@ corpus family, and the two wide_support configs of perfbench/inputs.py
 and malformed ones, one error each, the decoder's error code, JSON pointer
 and message.
 
-Uses only the standard library, didlab and perfbench/inputs.py; pytest does
-not collect it.
+Uses only the standard library, numpy, didlab, perfbench/inputs.py and
+EDGE_FLOATS from tests/_brute.py; pytest does not collect it.
 """
 
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 import hashlib
 import io
 import json
@@ -53,7 +59,10 @@ sys.path.insert(0, str(ROOT / "perfbench"))
 
 import inputs  # noqa: E402  (perfbench/inputs.py, stdlib only)
 
-from didlab import cli, corpus  # noqa: E402
+import numpy as np  # noqa: E402
+
+from didlab import cli, corpus, harness  # noqa: E402
+from didlab.core import Panel  # noqa: E402
 from didlab.diagnostics import (  # noqa: E402
     empirical_cell_table,
     observable_pt_probe,
@@ -63,6 +72,8 @@ from didlab.diagnostics import (  # noqa: E402
 from didlab.errors import LabError  # noqa: E402
 from didlab.harness import parse_config, read_panel_csv, run_experiment, write_outputs  # noqa: E402
 from didlab.scenarios import AtomSampler, build_joint, draw_panel  # noqa: E402
+
+from _brute import EDGE_FLOATS  # noqa: E402  (tests/_brute.py)
 
 CORPUS_SEEDS = 3
 # the (n, seed) of the counts/ artifacts
@@ -204,6 +215,28 @@ def _given_panel_sha(text: str, emit_latent: bool, tmp: Path) -> str:
     return _sha((tmp / "panel-given" / "panel.csv").read_bytes())
 
 
+def edge_panel() -> Panel:
+    """2 * _SLICE_ROWS + 7 units, so three slices of the given-panel writer;
+    unit i takes treatment path i % 4, and column c (y0, y1, y00 ... y11)
+    takes EDGE_FLOATS[(i + 3 * c) % len(EDGE_FLOATS)]."""
+    units = np.arange(2 * harness._SLICE_ROWS + 7)
+    edge = np.array(EDGE_FLOATS)
+    cols = [edge[(units + 3 * c) % len(edge)] for c in range(6)]
+    return Panel(d0=units // 2 % 2, d1=units % 2, y0=cols[0], y1=cols[1], po=np.column_stack(cols[2:]))
+
+
+def _edge_panel_lines(tmp: Path) -> list[str]:
+    cfg = parse_config(corpus.shipped_text("known_means"))
+    cfg.n, cfg.replications = 100, 1
+    report, panel = run_experiment(cfg), edge_panel()
+    lines = []
+    for tag, latent in (("plain", False), ("latent", True)):
+        out = tmp / "panel-edge" / tag
+        write_outputs(dataclasses.replace(report, emit_latent=latent), [panel], out)
+        lines.append(f"panel-edge/{tag} {_sha((out / 'panel.csv').read_bytes())}")
+    return lines
+
+
 def _configs() -> dict[str, str]:
     texts = {f"shipped:{name}": corpus.shipped_text(name) for name in corpus.shipped_names()}
     seeds = corpus.seed_corpus()
@@ -248,6 +281,7 @@ def snapshot() -> list[str]:
             panel = tmp / "experiment+" / label.replace(":", "_") / "panel.csv"
             lines.append(f"readback/{label} {_sha(_readback_bytes(panel))}")
             lines.append(f"empirical/{label} {_sha(_empirical_bytes(panel))}")
+        lines.extend(_edge_panel_lines(tmp))
         for label, obj in INVALID.items():
             path = tmp / "invalid.json"
             path.write_text(json.dumps(obj), encoding="utf-8")

@@ -513,6 +513,14 @@ def test_experiment_requires_output_dir(capsys):
     assert "needs an output directory" in err
 
 
+def test_experiment_into_a_regular_file_exits_2(capsys, tmp_path):
+    out = tmp_path / "taken"
+    out.write_text("a file, not a directory")
+    code, _, err = run(capsys, "experiment", "known_means", "--n", "50", "--out", str(out))
+    assert code == 2
+    assert "[io-error] cannot create output directory" in err and str(out) in err
+
+
 def test_experiment_rejects_invalid_scenario(capsys, tmp_path):
     path = tmp_path / "bad.json"
     path.write_text('{"scenario": "roy_repeated", "pmf": [[0, 0, 0, 0, 0.5]]}')

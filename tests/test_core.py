@@ -4,7 +4,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from didlab import _jsonio, _rng
@@ -18,6 +18,8 @@ from didlab.core import (
     TreatmentPair,
     validate_scenario,
 )
+
+from _brute import EDGE_FLOATS, brute_format_float
 
 
 def test_treatment_pair_rejects_nonbinary():
@@ -58,6 +60,27 @@ def test_joint_arrays_and_check():
     bad = JointDistribution([0], [[0, 0, 1, 0]], [0], [0], [0.25])
     with pytest.raises(ValueError):
         bad.check()
+
+
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        ({"d1": [0]}, "joint columns have unequal lengths"),
+        ({"d0": [0, 2]}, "joint treatment columns must be 0 or 1"),
+    ],
+)
+def test_joint_rejects_malformed_columns(change, message):
+    cols = {"u0_type": [0, 0], "po": [[0, 0, 1, 0], [1, 0, 0, 1]], "d0": [0, 0], "d1": [0, 1], "prob": [0.25, 0.75]}
+    with pytest.raises(ValueError) as err:
+        JointDistribution(**{**cols, **change})
+    assert str(err.value) == message
+
+
+def test_joint_check_rejects_a_negative_probability():
+    joint = JointDistribution([0, 0], [[0, 0, 1, 0], [1, 0, 0, 1]], [0, 0], [0, 1], [-0.25, 1.25])
+    with pytest.raises(ValueError) as err:
+        joint.check()
+    assert str(err.value) == "negative atom probability"
 
 
 def test_panel_views_and_shapes():
@@ -185,6 +208,29 @@ def test_format_float():
         _jsonio.format_float(float("inf"))
 
 
+def _edge_examples(test):
+    for x in EDGE_FLOATS:
+        test = example(x)(test)
+    return test
+
+
+@given(st.floats(allow_nan=False, allow_infinity=False))
+@_edge_examples
+@settings(max_examples=2000, deadline=None)
+def test_format_float_matches_its_reference(x):
+    """format_float against the old body in _brute, over finite doubles."""
+    assert _jsonio.format_float(x) == brute_format_float(x)
+
+
+@pytest.mark.parametrize("x", [float("nan"), float("inf"), float("-inf")])
+def test_format_float_rejects_non_finite_as_its_reference_does(x):
+    with pytest.raises(ValueError) as want:
+        brute_format_float(x)
+    with pytest.raises(ValueError) as got:
+        _jsonio.format_float(x)
+    assert str(got.value) == str(want.value) == f"non-finite float in JSON output: {x!r}"
+
+
 def test_dumps_sorted_and_round_trips():
     obj = {"b": [1, 2.5, None, True], "a": {"x": 0.32, "y": "s"}}
     text = _jsonio.dumps(obj, indent=2)
@@ -199,6 +245,11 @@ def test_dumps_sorted_and_round_trips():
         _jsonio.dumps({1: "nonstring key"})
     with pytest.raises(TypeError):
         _jsonio.dumps(object())
+
+
+def test_dumps_writes_an_empty_list_as_brackets():
+    assert _jsonio.dumps([]) == _jsonio.dumps(()) == "[]"
+    assert _jsonio.dumps({"a": []}, indent=2) == '{\n  "a": []\n}'
 
 
 def test_dumps_is_byte_stable():

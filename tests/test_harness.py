@@ -625,6 +625,54 @@ def test_write_outputs_rejects_a_panel_without_latent_columns_before_writing(sma
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("col", ["d0", "d1"])
+@pytest.mark.parametrize("value", [2, -1])
+def test_a_treatment_edited_outside_0_1_is_a_schema_error(small_report, tmp_path, col, value):
+    """panel.csv writes a row's treatments as one of four prefixes, so a d0
+    or d1 set outside {0, 1} after construction is rejected, naming the
+    first such unit and its column, before anything is written."""
+    report, _ = small_report
+    panel = Panel(d0=[0, 1, 0], d1=[1, 1, 0], y0=[0.5, 2.0, 1.0], y1=[1.0, 3.0, 1.5])
+    getattr(panel, col)[1] = value
+    panel.d1[2] = 5  # a later unit: not the first bad one
+    message = f"[schema-error] panel unit 1, column {col}: {value} is not 0 or 1"
+    with pytest.raises(LabError) as err:
+        write_outputs(report, [panel], tmp_path / "out")
+    assert (err.value.code, err.value.message) == ("schema-error", message)
+    assert not (tmp_path / "out").exists()
+    with pytest.raises(LabError) as err:
+        list(panel_csv_lines(panel, emit_latent=False))
+    assert (err.value.code, err.value.message) == ("schema-error", message)
+
+
+def test_write_outputs_checks_a_given_panel_once(small_report, monkeypatch, tmp_path):
+    report, _ = small_report
+    calls = []
+    check = harness._check_panel
+    monkeypatch.setattr(harness, "_check_panel", lambda *args: calls.append(args) or check(*args))
+    write_outputs(report, [Panel(d0=[0, 1], d1=[1, 1], y0=[0.5, 2.0], y1=[1.0, 3.0])], tmp_path)
+    assert len(calls) == 1
+
+
+def test_write_outputs_into_a_regular_file_is_an_io_error(small_report, tmp_path):
+    report, _ = small_report
+    out = tmp_path / "taken"
+    out.write_text("a file, not a directory")
+    with pytest.raises(LabError) as err:
+        write_outputs(report, [], out)
+    assert err.value.code == "io-error" and err.value.path == str(out)
+    assert str(err.value).startswith("[io-error] cannot create output directory: ")
+
+
+def test_write_outputs_over_a_directory_named_summary_json_is_an_io_error(small_report, tmp_path):
+    report, _ = small_report
+    (tmp_path / "summary.json").mkdir()
+    with pytest.raises(LabError) as err:
+        write_outputs(report, [], tmp_path)
+    assert err.value.code == "io-error" and err.value.path == str(tmp_path / "summary.json")
+    assert str(err.value).startswith("[io-error] cannot write summary.json: ")
+
+
 def test_write_outputs_ignores_latent_values_it_does_not_write(small_report, tmp_path):
     report, _ = small_report
     panel = Panel(d0=[0], d1=[1], y0=[0.5], y1=[1.0], po=[[np.nan, np.inf, 0.5, 1.0]])

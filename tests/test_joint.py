@@ -842,6 +842,13 @@ def test_a_shared_type_computes_each_decision_quantity_once(monkeypatch, make_cf
         assert str(err.value) == f"[state-not-in-support] {message}"
 
 
+def test_a_decision_quantity_read_off_the_class_is_its_descriptor():
+    """Only an instance computes and stores the value; on the class the
+    attribute is the lazy descriptor itself."""
+    once = StoppingType._by_y0
+    assert isinstance(once, scenarios._once) and once is vars(StoppingType)["_by_y0"]
+
+
 def test_support_cap_is_checked_before_the_grid_is_built(monkeypatch):
     """A config over the cap costs no grid rows: the tracemalloc peak of the
     failed build stays below the size of its stacked grid."""

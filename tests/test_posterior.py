@@ -58,6 +58,13 @@ def test_impossible_observation_raises():
         posterior_mean(sure_success, [0])
 
 
+@pytest.mark.parametrize("obs", [2, -1, 0.5, None])
+def test_a_non_binary_observation_is_a_value_error(obs):
+    with pytest.raises(ValueError) as err:
+        posterior_mean(((0.2, 0.5), (0.8, 0.5)), [1, obs])
+    assert str(err.value) == f"Bernoulli observation must be 0/1, got {obs!r}"
+
+
 def test_posterior_mean_or_prior_falls_back():
     sure_fail = ((0.0, 1.0),)
     assert posterior_mean_or_prior(sure_fail, 1) == 0.0  # falls back to prior mean
