@@ -110,7 +110,7 @@ class JointDistribution:
         if (self.prob < 0).any():
             raise ValueError("negative atom probability")
         mass = self.total_mass()
-        if abs(mass - 1.0) > EXACT_TOL:
+        if not abs(mass - 1.0) <= EXACT_TOL:
             raise ValueError(f"joint mass {mass!r} differs from 1 by more than {EXACT_TOL}")
 
     def arrays(self) -> dict[str, np.ndarray]:

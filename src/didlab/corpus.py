@@ -340,9 +340,7 @@ def random_roy(seed: int, pt: bool | None = None, irreversible: bool = False):
         pt = rng.random() < 0.5
     while True:
         pmf = _symmetrized_pmf(rng, _ROY_PT_SUPPORT) if pt else _random_pmf(rng)
-        config = RoyIrreversible(pmf=pmf, beta=0.9) if irreversible else RoyRepeated(pmf=pmf)
-        if not validate_scenario(config).ok:
-            continue
+        config = _validated(RoyIrreversible(pmf=pmf, beta=0.9) if irreversible else RoyRepeated(pmf=pmf))
         table = cell_table(build_joint(config))
         if table.prob(0, 0) < 0.01 or table.prob(0, 1) < 0.01:
             continue

@@ -10,7 +10,6 @@ from __future__ import annotations
 # Codes raised by the library.  Kept in one tuple so tests can assert
 # nobody invents an undocumented code.
 ERROR_CODES = (
-    "impossible-observation",
     "state-not-in-support",
     "support-too-large",
     "empty-event",

@@ -32,7 +32,7 @@ import math
 from dataclasses import dataclass
 from functools import partial
 from itertools import count, product
-from typing import Callable, NamedTuple, Optional, Sequence
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -106,44 +106,6 @@ def _bernoulli_grid(latent: list, po: np.ndarray = _PO16):
     return np.repeat(u.ravel().astype(np.int64), len(po)), np.tile(po, (len(u), 1)), p.ravel()
 
 
-def prior_mean(prior: Prior) -> float:
-    return float(sum(t * w for t, w in prior))
-
-
-def posterior_mean(prior: Prior, observations: Sequence[int]) -> float:
-    """Posterior mean of a Bernoulli success rate after binary observations.
-
-    The prior is a finite pmf over candidate rates.  With no observations the
-    prior mean is returned unchanged.
-    """
-    for y in observations:
-        if y not in (0, 1):
-            raise ValueError(f"Bernoulli observation must be 0/1, got {y!r}")
-    num = 0.0
-    den = 0.0
-    for theta, w in prior:
-        like = w
-        for y in observations:
-            like *= _bern(y, theta)
-        num += theta * like
-        den += like
-    if den <= 0.0:
-        raise LabError(
-            "impossible-observation",
-            f"observations {list(observations)} have zero probability under the prior",
-        )
-    return num / den
-
-
-def posterior_mean_or_prior(prior: Prior, observation: int) -> float:
-    """posterior_mean after one observation, falling back to the prior mean
-    when that observation is impossible under the prior (degenerate history)."""
-    try:
-        return posterior_mean(prior, [observation])
-    except LabError:
-        return prior_mean(prior)
-
-
 class _once:
     """A lazy attribute: the method's value, computed on the first read and
     stored on the instance under the method's name, so later reads are plain
@@ -170,22 +132,26 @@ class _Learner:
 
     @_once
     def _mean(self) -> float:
-        return prior_mean(self.prior)
+        return float(sum(t * w for t, w in self.prior))
 
     @_once
     def _post(self) -> tuple[Optional[float], Optional[float]]:
-        """The posterior mean after observing 0 and after observing 1, None
-        where that observation has zero prior probability."""
+        """The posterior mean after observing 0 and after observing 1, by
+        Bayes' rule over the prior's rates; None where that observation has
+        zero prior probability."""
         post = []
         for y in (0, 1):
-            try:
-                post.append(posterior_mean(self.prior, [y]))
-            except LabError:
-                post.append(None)
+            num = den = 0.0
+            for theta, w in self.prior:
+                like = w * _bern(y, theta)
+                num += theta * like
+                den += like
+            post.append(None if den <= 0.0 else num / den)
         return tuple(post)
 
     def _post_or_prior(self, y: int) -> float:
-        """posterior_mean_or_prior(self.prior, y)."""
+        """The posterior mean after observing y, or the prior mean where y is
+        impossible under the prior (a degenerate history)."""
         post = self._post[y]
         return self._mean if post is None else post
 
@@ -231,13 +197,19 @@ def _check_pmf(report: ValidationReport, weights, where: str, *args) -> None:
         if w < 0:
             report.add("pmf-negative", f"negative probability {w!r}", f"{where.format(*args)}[{i}]")
         total += w
-    if abs(total - 1.0) > PMF_TOL:
+    if not abs(total - 1.0) <= PMF_TOL:
         report.add("pmf-sum", f"probabilities at {where.format(*args)} sum to {total!r}, not 1", total)
 
 
 def _check_unit(report: ValidationReport, x: float, where: str, *args) -> None:
     if not (0.0 <= x <= 1.0):
         report.add("prob-range", f"{where.format(*args)} = {x!r} outside [0, 1]", x)
+
+
+def _check_costs(report: ValidationReport, costs: CostTable, i: int) -> None:
+    for v in (*costs.k0, *costs.k1[0], *costs.k1[1]):
+        if not math.isfinite(v):
+            report.add("cost-not-finite", f"non-finite cost in types[{i}]", v)
 
 
 def _check_common_trend(report: ValidationReport, taus: list[float], scale: float = 1.0) -> None:
@@ -574,9 +546,7 @@ class NoLearning(ScenarioConfig):
                 _check_unit(rep, ty.mu[t][d], "types[{}].mu[{}][{}]", i, t, d)
             if not (0.0 < ty.beta < 1.0):
                 rep.add("beta-range", f"beta = {ty.beta!r} outside (0,1)", f"types[{i}]")
-            for v in (*ty.costs.k0, *ty.costs.k1[0], *ty.costs.k1[1]):
-                if not math.isfinite(v):
-                    rep.add("cost-not-finite", f"non-finite cost in types[{i}]", v)
+            _check_costs(rep, ty.costs, i)
             taus.append(ty.mu[1][0] - ty.mu[0][0])
             if rep.ok:
                 _warn_edge(rep, ty._trace.gains, "types[{}] period-0 gain", i)
@@ -664,6 +634,7 @@ class TreatedArmLearning(ScenarioConfig):
                 _check_unit(rep, ty.mu_ctrl[t], "types[{}].mu_ctrl[{}]", i, t)
             if not (0.0 < ty.beta < 1.0):
                 rep.add("beta-range", f"beta = {ty.beta!r} outside (0,1)", f"types[{i}]")
+            _check_costs(rep, ty.costs, i)
             taus.append(ty.mu_ctrl[1] - ty.mu_ctrl[0])
             if rep.ok:
                 _warn_edge(rep, ty._g1[0], "types[{}] period-1 gain given d0=0", i)
@@ -1169,7 +1140,7 @@ def build_joint(config: ScenarioConfig) -> JointDistribution:
         u0_type, po, weights = u0_type[keep], po[keep], weights[keep]
     cell = _decided_cells(config, u0_type, po)
     total = float(np.sum(weights))
-    if (weights < 0).any() or abs(total - 1.0) > PMF_TOL:
+    if (weights < 0).any() or not abs(total - 1.0) <= PMF_TOL:
         raise LabError(
             "invalid-scenario", f"weights sum to {total!r} or include a negative one; validate the config first"
         )

@@ -2,9 +2,13 @@
 
     PYTHONPATH=src python tests/snapshot.py OUT
 
-writes one "artifact sha256" line per artifact to OUT.  Run it on two
+writes a "# python X numpy Y" header line naming the versions that ran it,
+then one "artifact sha256" line per artifact, to OUT.  Run it on two
 checkouts and diff the two files: a change that keeps every output
-byte-identical leaves them equal.  The artifacts, for each config:
+byte-identical leaves them equal.  tests/snapshot.golden is its committed
+output, which tests/test_snapshot.py checks; rerun the script onto that file
+when a change alters output bytes on purpose.  The artifacts, for each
+config:
 
   joint/        build_joint's columns and u0_type (names, dtypes and bytes)
   guide/        AtomSampler(joint)._guide, its guide table (dtype and bytes)
@@ -50,6 +54,7 @@ import dataclasses
 import hashlib
 import io
 import json
+import platform
 import sys
 import tempfile
 from pathlib import Path
@@ -248,6 +253,11 @@ def _configs() -> dict[str, str]:
     return texts
 
 
+def versions() -> str:
+    """The interpreter and numpy versions, as the header line names them."""
+    return f"python {platform.python_version()} numpy {np.__version__}"
+
+
 def snapshot() -> list[str]:
     lines = []
     with tempfile.TemporaryDirectory() as tmp:
@@ -300,7 +310,7 @@ def main(argv: list[str]) -> int:
     if len(argv) != 1:
         print(__doc__.split("\n\n")[1], file=sys.stderr)
         return 2
-    Path(argv[0]).write_text("\n".join(snapshot()) + "\n", encoding="utf-8")
+    Path(argv[0]).write_text("\n".join([f"# {versions()}", *snapshot()]) + "\n", encoding="utf-8")
     return 0
 
 

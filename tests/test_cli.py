@@ -12,7 +12,7 @@ from didlab import cli, scenarios
 from didlab._rng import derive_seed
 from didlab.cli import main
 from didlab.corpus import shipped_config, shipped_names, shipped_text
-from didlab.errors import ERROR_CODES
+from didlab.errors import ERROR_CODES, LabError
 from didlab.estimators import did_switchers, mts_bounds
 from didlab.harness import panel_csv_lines, read_panel_csv
 from didlab.scenarios import build_joint, draw_panel
@@ -100,6 +100,24 @@ def test_missing_config_file_exits_2(capsys):
     code, _, err = run(capsys, "validate", "no_such_file.json")
     assert code == 2
     assert "[io-error]" in err
+
+
+def test_an_unknown_shipped_name_is_a_schema_error_listing_the_choices():
+    with pytest.raises(LabError) as err:
+        shipped_text("nope")
+    assert err.value.code == "schema-error"
+    assert str(err.value) == f"[schema-error] unknown shipped config 'nope'; choices: {', '.join(shipped_names())}"
+
+
+class _ClosedPipe(io.StringIO):
+    def write(self, text):
+        raise BrokenPipeError
+
+
+def test_a_closed_stdout_pipe_exits_0(monkeypatch):
+    """`didlab scenarios | head -0`: output to a reader that has gone is not an error."""
+    monkeypatch.setattr("sys.stdout", _ClosedPipe())
+    assert main(["scenarios"]) == 0
 
 
 def test_validate_huge_integer_exits_2(capsys, tmp_path):

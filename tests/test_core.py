@@ -83,6 +83,13 @@ def test_joint_check_rejects_a_negative_probability():
     assert str(err.value) == "negative atom probability"
 
 
+def test_joint_check_rejects_a_nan_mass():
+    joint = JointDistribution([0, 0], [[0, 0, 1, 0], [1, 0, 0, 1]], [0, 0], [0, 1], [float("nan"), 1.0])
+    with pytest.raises(ValueError) as err:
+        joint.check()
+    assert str(err.value) == "joint mass nan differs from 1 by more than 1e-12"
+
+
 def test_panel_views_and_shapes():
     p = Panel(
         d0=[0, 0, 1],

@@ -729,13 +729,14 @@ def _truth_path(cfg):
 
 def test_posterior_mean_runs_at_most_twice_per_type(monkeypatch):
     """validate, build_joint and oracle_block share each treated learner's
-    two one-observation posteriors."""
+    two one-observation posteriors, computed in one call per type."""
     cfg = _wide_treated_config(4)
     calls = Counter()
-    rule = scenarios.posterior_mean
-    monkeypatch.setattr(scenarios, "posterior_mean", lambda prior, obs: calls.update([prior]) or rule(prior, obs))
+    once = scenarios._Learner.__dict__["_post"]
+    post = once.func
+    monkeypatch.setattr(once, "func", lambda ty: calls.update([id(ty)]) or post(ty))
     _truth_path(cfg)
-    assert set(calls) == {ty.prior for ty in cfg.types} and max(calls.values()) <= 2
+    assert sorted(calls) == sorted(id(ty) for ty in cfg.types) and set(calls.values()) == {1}
 
 
 def test_no_learning_trace_runs_once_per_type(monkeypatch):
@@ -757,9 +758,9 @@ def test_invalid_types_get_a_report_and_no_decision_quantities(monkeypatch, make
     types = tuple(make(prob=0.25, prior=prior, **extra) for prior in priors)
     cfg = (TreatedArmLearning if make is TreatedLearningType else ControlArmLearning)(types=types)
     seen = []
-    for name in ("prior_mean", "posterior_mean"):
-        fn = getattr(scenarios, name)
-        monkeypatch.setattr(scenarios, name, lambda prior, *a, fn=fn: seen.append(prior) or fn(prior, *a))
+    for name in ("_mean", "_post"):
+        once = scenarios._Learner.__dict__[name]
+        monkeypatch.setattr(once, "func", lambda ty, fn=once.func: seen.append(ty.prior) or fn(ty))
     report = validate_scenario(cfg)
     assert {v.rule for v in report.violations} == {"pmf-negative", "prob-range"}
     assert set(seen) == {priors[0]}

@@ -24,7 +24,6 @@ from didlab.scenarios import (
     ControlLearningType,
     build_joint,
     draw_panel,
-    posterior_mean,
 )
 
 from _brute import brute_estimates, brute_posterior, brute_read_panel
@@ -271,7 +270,8 @@ def priors(draw):
 @settings(max_examples=80, deadline=None)
 def test_posterior_matches_brute(prior, obs):
     assume(sum(w * (t if obs else 1.0 - t) for t, w in prior) > 1e-9)
-    assert posterior_mean(prior, [obs]) == pytest.approx(
+    ty = ControlLearningType(prob=1.0, prior=prior, mu_treat1=0.5, ktilde1=0.0)
+    assert ty._post[obs] == pytest.approx(
         brute_posterior(prior, obs), abs=1e-9
     )
 
@@ -281,10 +281,11 @@ def test_posterior_matches_brute(prior, obs):
 def test_posterior_stays_in_hull(prior):
     lo = min(t for t, _ in prior)
     hi = max(t for t, _ in prior)
+    ty = ControlLearningType(prob=1.0, prior=prior, mu_treat1=0.5, ktilde1=0.0)
     for obs in (0, 1):
         mass = sum(w * (t if obs else 1.0 - t) for t, w in prior)
         assume(mass > 1e-9)
-        p = posterior_mean(prior, [obs])
+        p = ty._post[obs]
         assert lo - 1e-12 <= p <= hi + 1e-12
 
 

@@ -59,6 +59,14 @@ _VIOLATIONS = {
         _no_learning(costs=CostTable(k0=(0.0, math.inf))),
         [("cost-not-finite", "non-finite cost in types[0]", (math.inf,))],
     ),
+    "treated_arm_learning cost inf": (
+        _treated(costs=CostTable(k0=(0.0, math.inf))),
+        [("cost-not-finite", "non-finite cost in types[0]", (math.inf,))],
+    ),
+    "treated_arm_learning cost nan": (
+        _treated(costs=CostTable(k1=((0.0, 0.0), (math.nan, 0.0)))),
+        [("cost-not-finite", "non-finite cost in types[0]", (math.nan,))],
+    ),
     "control_arm_learning ktilde1": (
         _control(ktilde1=-math.inf),
         [("cost-not-finite", "ktilde1 not finite in types[0]", (-math.inf,))],
@@ -106,6 +114,34 @@ def test_each_rule_reports_its_code_message_and_values(case):
     config, expected = _VIOLATIONS[case]
     report = validate_scenario(config)
     assert [(v.rule, v.message, v.values) for v in report.violations] == expected
+
+
+# a config with one nan weight, and where its pmf-sum violation points
+_NAN_WEIGHTS = {
+    "type prob": (
+        NoLearning(types=(NoLearningType(prob=math.nan, mu=((0.5, 0.5), (0.5, 0.5))),)),
+        "types",
+    ),
+    "prior weight": (
+        TreatedArmLearning(types=(TreatedLearningType(prob=1.0, prior=((0.5, math.nan),), mu_ctrl=(0.3, 0.5)),)),
+        "types[0].prior",
+    ),
+    "pmf16 probability": (RoyRepeated(pmf=(((0, 1, 0, 1), math.nan),)), "pmf"),
+    "stopping pmf probability": (_stopping(pmf=(((1.0, 1.0), math.nan),)), "types[0].pmf"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_NAN_WEIGHTS))
+def test_a_nan_weight_fails_every_mass_check(case):
+    """A nan passes no comparison, so each check asks whether the mass is
+    within its tolerance of 1, not whether it is outside it."""
+    config, where = _NAN_WEIGHTS[case]
+    [violation] = validate_scenario(config).violations
+    assert (violation.rule, violation.message) == ("pmf-sum", f"probabilities at {where} sum to nan, not 1")
+    assert math.isnan(violation.values[0])
+    with pytest.raises(LabError) as err:
+        build_joint(config)
+    assert str(err.value) == "[invalid-scenario] weights sum to nan or include a negative one; validate the config first"
 
 
 @pytest.mark.parametrize("k", [4, 6, 10, 100, 300])
