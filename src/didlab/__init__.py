@@ -3,7 +3,7 @@ under forward-looking treatment choice.
 
 The package is organized bottom-up:
 
-- core: shared value types (potential outcomes, joints, panels, cell tables)
+- core: shared value types (costs, joints, panels, cell tables)
   and scenario validation.
 - scenarios: seven behavioral designs mapping latent states to treatment
   paths, each with an exact joint-distribution builder and a panel sampler.
@@ -26,10 +26,7 @@ from .core import (
     CellTable,
     CostTable,
     JointDistribution,
-    LatentState,
     Panel,
-    PotentialOutcomes,
-    TreatmentPair,
     ValidationReport,
     Violation,
     validate_scenario,
@@ -118,10 +115,7 @@ __all__ = [
     "CellTable",
     "CostTable",
     "JointDistribution",
-    "LatentState",
     "Panel",
-    "PotentialOutcomes",
-    "TreatmentPair",
     "ValidationReport",
     "Violation",
     "validate_scenario",

@@ -6,7 +6,7 @@ finite-support representations; panels are array-backed samples from them.
 
 Index conventions used throughout:
   * periods t in {0, 1}, arms d in {0, 1};
-  * potential outcomes po.y[t][d] = outcome at period t under arm d;
+  * potential outcomes po = (y00, y01, y10, y11), ytd at period t under arm d;
   * treatment cells are the four realized sequences (d0, d1).
 """
 
@@ -31,51 +31,11 @@ CELLS = ((0, 0), (0, 1), (1, 0), (1, 1))
 
 
 @dataclass(frozen=True)
-class TreatmentPair:
-    d0: int
-    d1: int
-
-    def __post_init__(self):
-        if self.d0 not in (0, 1) or self.d1 not in (0, 1):
-            raise ValueError(f"treatment indicators must be 0/1, got {self}")
-
-
-@dataclass(frozen=True)
-class PotentialOutcomes:
-    """Outcome y[t][d] for period t and arm d, all four entries finite."""
-
-    y: tuple[tuple[float, float], tuple[float, float]]
-
-    @staticmethod
-    def of(y00: float, y01: float, y10: float, y11: float) -> "PotentialOutcomes":
-        return PotentialOutcomes(((float(y00), float(y01)), (float(y10), float(y11))))
-
-    def __post_init__(self):
-        for t in (0, 1):
-            for d in (0, 1):
-                if not math.isfinite(self.y[t][d]):
-                    raise ValueError(f"potential outcome y[{t}][{d}] not finite")
-
-    @property
-    def flat(self) -> tuple[float, float, float, float]:
-        return (self.y[0][0], self.y[0][1], self.y[1][0], self.y[1][1])
-
-
-@dataclass(frozen=True)
 class CostTable:
     """Treatment costs: k0[d0] in period 0, k1[d0][d1] in period 1."""
 
     k0: tuple[float, float] = (0.0, 0.0)
     k1: tuple[tuple[float, float], tuple[float, float]] = ((0.0, 0.0), (0.0, 0.0))
-
-
-@dataclass(frozen=True)
-class LatentState:
-    """What a scenario's decision rule reads about one unit: its type index
-    and its potential outcomes."""
-
-    u0_type: int
-    po: PotentialOutcomes
 
 
 class JointDistribution:
@@ -194,7 +154,7 @@ class CellTable:
         self.cells = dict(cells)
         self.source = source
         total = sum(c.prob for c in self.cells.values())
-        if abs(total - 1.0) > EXACT_TOL:
+        if not abs(total - 1.0) <= EXACT_TOL:
             raise ValueError(f"cell probabilities sum to {total!r}, not 1")
 
     def prob(self, d0: int, d1: int) -> float:

@@ -43,10 +43,7 @@ from .core import (
     PMF_TOL,
     CostTable,
     JointDistribution,
-    LatentState,
     Panel,
-    PotentialOutcomes,
-    TreatmentPair,
     ValidationReport,
 )
 from .errors import LabError
@@ -155,14 +152,15 @@ class _Learner:
         post = self._post[y]
         return self._mean if post is None else post
 
-    def _observed(self, state: LatentState, d: int) -> int:
-        """The period-0 outcome Y_0(d) the type observes in state, or
-        state-not-in-support where it is not 0/1 or the prior rules it out."""
-        y = state.po.y[0][d]
+    def _observed(self, u0_type: int, po: tuple, d: int) -> int:
+        """The period-0 outcome Y_0(d) = po[d] this type observes, or
+        state-not-in-support where it is not 0/1 or the prior rules it out;
+        u0_type, the type's index, names it in the message."""
+        y = po[d]
         if y not in (0.0, 1.0):
             raise LabError("state-not-in-support", f"binary scenario got Y_0({d}) = {y!r}")
         if self._post[int(y)] is None:
-            raise LabError("state-not-in-support", f"Y_0({d}) = {int(y)} impossible under types[{state.u0_type}] prior")
+            raise LabError("state-not-in-support", f"Y_0({d}) = {int(y)} impossible under types[{u0_type}] prior")
         return int(y)
 
 
@@ -180,11 +178,6 @@ class DecisionTrace:
     d1_given: tuple[int, int]
     continuation: tuple[float, float]
     gains: Optional[float]
-
-    def realized(self) -> TreatmentPair:
-        """The path taken; d1 is None in the pair's error for a d0 that is
-        not 0/1, since no period-1 choice follows it."""
-        return TreatmentPair(self.d0, self.d1_given[self.d0] if self.d0 in (0, 1) else None)
 
 
 # The checks below name what they check by a str.format template and its
@@ -409,7 +402,9 @@ class ScenarioConfig(_Record):
     reads             the potential-outcome columns decide() reads besides
                       the type (see build_joint);
     validate()        its ValidationReport;
-    decide(state)     its exact decision rule, a DecisionTrace;
+    decide(u0_type, po)  its exact decision rule, a DecisionTrace, for the
+                      unit of type index u0_type and potential outcomes
+                      po = (y00, y01, y10, y11), a tuple of floats;
     _grid_size(), _grid()  its latent grid (see build_joint);
     conditions(arr, gap)   its parallel-trends condition, given the joint's
                       arrays and stationarity gap E[Y1(0)] - E[Y0(0)]: a
@@ -466,8 +461,8 @@ class PastOutcomeSelection(ScenarioConfig):
             _check_unit(rep, m, "mean_y_treated[{}]", t)
         return rep
 
-    def decide(self, state: LatentState) -> DecisionTrace:
-        y00 = state.po.y[0][0]
+    def decide(self, u0_type: int, po: tuple) -> DecisionTrace:
+        y00 = po[0]
         if y00 not in (0.0, 1.0):
             raise LabError("state-not-in-support", f"binary scenario got Y_0(0) = {y00!r}")
         d1 = 1 - int(y00)
@@ -555,8 +550,8 @@ class NoLearning(ScenarioConfig):
         _check_common_trend(rep, taus)
         return rep
 
-    def decide(self, state: LatentState) -> DecisionTrace:
-        return self._type(state.u0_type)._trace
+    def decide(self, u0_type: int, po: tuple) -> DecisionTrace:
+        return self._type(u0_type)._trace
 
     def _grid_size(self) -> int:
         return 16 * len(self.types)
@@ -645,9 +640,9 @@ class TreatedArmLearning(ScenarioConfig):
         _check_common_trend(rep, taus)
         return rep
 
-    def decide(self, state: LatentState) -> DecisionTrace:
-        ty = self._type(state.u0_type)
-        g1_treated = ty._g1[1 + ty._observed(state, 1)]
+    def decide(self, u0_type: int, po: tuple) -> DecisionTrace:
+        ty = self._type(u0_type)
+        g1_treated = ty._g1[1 + ty._observed(u0_type, po, 1)]
         gains, continuation = ty._gains
         return DecisionTrace(
             d0=int(gains >= 0),
@@ -749,9 +744,9 @@ class ControlArmLearning(ScenarioConfig):
                 _warn_edge(rep, a - l1, "types[{}] treated-value margin at l1", i)
         return rep
 
-    def decide(self, state: LatentState) -> DecisionTrace:
-        ty = self._type(state.u0_type)
-        l_obs = ty._post[ty._observed(state, 0)]
+    def decide(self, u0_type: int, po: tuple) -> DecisionTrace:
+        ty = self._type(u0_type)
+        l_obs = ty._post[ty._observed(u0_type, po, 0)]
         a = ty.mu_treat1 - ty.ktilde1
         d1_untreated = int(a >= l_obs)
         # counterfactual history d0=1: no untreated draw was seen, beliefs stay at the prior
@@ -859,10 +854,10 @@ class RoyRepeated(ScenarioConfig):
         _validate_pmf16(rep, self.pmf)
         return rep
 
-    def decide(self, state: LatentState) -> DecisionTrace:
-        y00, y01, y10, y11 = state.po.flat
+    def decide(self, u0_type: int, po: tuple) -> DecisionTrace:
+        y00, y01, y10, y11 = po
         if not {y00, y01, y10, y11} <= {0.0, 1.0}:
-            raise LabError("state-not-in-support", f"binary scenario got {state.po.flat}")
+            raise LabError("state-not-in-support", f"binary scenario got {po}")
         d1 = int(y11 >= y10)
         w = max(y10, y11)
         return DecisionTrace(
@@ -918,10 +913,10 @@ class RoyIrreversible(ScenarioConfig):
                     _warn_edge(rep, (y01 - y00) + self.beta * min(y11 - y10, 0), "period-0 gain at po={}", po)
         return rep
 
-    def decide(self, state: LatentState) -> DecisionTrace:
-        y00, y01, y10, y11 = state.po.flat
+    def decide(self, u0_type: int, po: tuple) -> DecisionTrace:
+        y00, y01, y10, y11 = po
         if not {y00, y01, y10, y11} <= {0.0, 1.0}:
-            raise LabError("state-not-in-support", f"binary scenario got {state.po.flat}")
+            raise LabError("state-not-in-support", f"binary scenario got {po}")
         w_untreated = max(y10, y11)
         w_treated = y11  # reversal is off the table
         gains = (y01 - y00) + self.beta * (w_treated - w_untreated)
@@ -1027,9 +1022,9 @@ class OptimalStopping(ScenarioConfig):
         _check_common_trend(rep, taus, scale)
         return rep
 
-    def decide(self, state: LatentState) -> DecisionTrace:
-        ty = self._type(state.u0_type)
-        mu = ty._m(state.po.y[0][0])  # raises state-not-in-support off the grid
+    def decide(self, u0_type: int, po: tuple) -> DecisionTrace:
+        ty = self._type(u0_type)
+        mu = ty._m(po[0])  # raises state-not-in-support off the grid
         cont0 = ty._cont0
         return DecisionTrace(
             d0=int(cont0 <= 0),
@@ -1109,9 +1104,10 @@ def scenario_from_json(obj, path: str = "") -> ScenarioConfig:
 # module-level operations
 
 
-def decide(config: ScenarioConfig, state: LatentState) -> DecisionTrace:
-    """Run the scenario's exact decision rule for one latent state."""
-    return config.decide(state)
+def decide(config: ScenarioConfig, u0_type: int, po: tuple) -> DecisionTrace:
+    """Run the scenario's exact decision rule for the unit of type index
+    u0_type and potential outcomes po = (y00, y01, y10, y11)."""
+    return config.decide(u0_type, po)
 
 
 def build_joint(config: ScenarioConfig) -> JointDistribution:
@@ -1123,11 +1119,14 @@ def build_joint(config: ScenarioConfig) -> JointDistribution:
     (type, latent grid index, outcome tuple); inverse-cdf draws depend on
     that order.  The cap on grid points is checked against _grid_size()
     before any row is built.  Atoms keep the order and zero-probability
-    points are dropped.  The decision rule runs once per distinct (type,
-    values of the columns in config.reads) among the rows left, on the first
-    row that holds them, in row order.  Probabilities are renormalized by
-    their total so the result carries unit mass to within 1e-12 even when
-    config pmfs only sum to 1 within the looser validation tolerance.
+    points are dropped.  The rows left are checked before any rule runs:
+    invalid-scenario where their weights include a negative one or do not
+    sum to 1 within PMF_TOL, or their outcomes include a non-finite value.
+    The decision rule then runs once per distinct (type, values of the
+    columns in config.reads), on the first row that holds them, in row
+    order.  Probabilities are renormalized by their total so the result
+    carries unit mass to within 1e-12 even when config pmfs only sum to 1
+    within the looser validation tolerance.
     """
     grid = getattr(config, "_grid", None)
     if grid is None:
@@ -1138,12 +1137,14 @@ def build_joint(config: ScenarioConfig) -> JointDistribution:
     if np.count_nonzero(weights) < len(weights):
         keep = weights != 0.0
         u0_type, po, weights = u0_type[keep], po[keep], weights[keep]
-    cell = _decided_cells(config, u0_type, po)
     total = float(np.sum(weights))
     if (weights < 0).any() or not abs(total - 1.0) <= PMF_TOL:
         raise LabError(
             "invalid-scenario", f"weights sum to {total!r} or include a negative one; validate the config first"
         )
+    if not np.isfinite(po).all():
+        raise LabError("invalid-scenario", "outcomes include a non-finite value; validate the config first")
+    cell = _decided_cells(config, u0_type, po)
     if total != 1.0:
         weights = weights / total
     joint = JointDistribution(u0_type, po, cell >> 1, cell & 1, weights, config.scenario_id)
@@ -1155,9 +1156,9 @@ def _decided_cells(config: ScenarioConfig, u0_type: np.ndarray, po: np.ndarray) 
     """2 * d0 + d1 of each row, from config.decide run once per group of
     rows that share the type and the read columns.  A stable sort on those
     keys puts each group's first row at its head; the rule runs on those
-    heads in row order.  Each head's path is read off its trace as
-    realized() would give it, and realized() is called only to raise for a
-    path that is not 0/1."""
+    heads in row order.  A trace whose path is not 0/1 raises ValueError,
+    with d1 None for a d0 that is not 0/1, since no period-1 choice follows
+    it."""
     keys = [po[:, c] for c in config.reads]
     order = np.lexsort((*keys[::-1], u0_type))
     head = np.empty(len(order), dtype=bool)
@@ -1172,11 +1173,12 @@ def _decided_cells(config: ScenarioConfig, u0_type: np.ndarray, po: np.ndarray) 
     rows = first[by_row]
     codes = []
     for u, y in zip(u0_type[rows].tolist(), po[rows].tolist()):
-        tr = config.decide(LatentState(u, PotentialOutcomes.of(*y)))
+        tr = config.decide(u, tuple(y))
         d0 = tr.d0
-        if d0 not in (0, 1) or tr.d1_given[d0] not in (0, 1):
-            tr.realized()  # raises the pair's ValueError
-        codes.append(2 * d0 + tr.d1_given[d0])
+        d1 = tr.d1_given[d0] if d0 in (0, 1) else None
+        if d1 not in (0, 1):
+            raise ValueError(f"treatment indicators must be 0/1, got d0={d0}, d1={d1}")
+        codes.append(2 * d0 + d1)
     group_code = np.empty(len(first), dtype=np.int8)
     group_code[by_row] = codes
     cell = np.empty(len(order), dtype=np.int8)

@@ -17,7 +17,7 @@ from itertools import product
 import numpy as np
 
 from didlab._rng import uniform_at
-from didlab.core import CELLS, CellStats, LatentState, Panel, PotentialOutcomes
+from didlab.core import CELLS, CellStats, Panel
 from didlab.errors import LabError
 from didlab.harness import PANEL_HEADER, PANEL_HEADER_LATENT
 
@@ -319,9 +319,10 @@ def brute_joint(config):
     for u, po, p in _grid_points(config):
         if p == 0.0:
             continue
-        tr = config.decide(LatentState(u, PotentialOutcomes.of(*po))).realized()
         flat = tuple(float(y) for y in po)
-        rows.append((u, flat, tr.d0, tr.d1, flat[tr.d0], flat[2 + tr.d1], p))
+        tr = config.decide(u, flat)
+        d0, d1 = tr.d0, tr.d1_given[tr.d0]
+        rows.append((u, flat, d0, d1, flat[d0], flat[2 + d1], p))
     prob = np.array([r[6] for r in rows], dtype=np.float64)
     total = float(np.sum(prob))
     if total != 1.0:

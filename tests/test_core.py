@@ -14,27 +14,10 @@ from didlab.core import (
     CellTable,
     JointDistribution,
     Panel,
-    PotentialOutcomes,
-    TreatmentPair,
     validate_scenario,
 )
 
 from _brute import EDGE_FLOATS, brute_format_float
-
-
-def test_treatment_pair_rejects_nonbinary():
-    with pytest.raises(ValueError):
-        TreatmentPair(0, 2)
-    assert TreatmentPair(1, 0).d0 == 1
-
-
-def test_potential_outcomes_layout():
-    po = PotentialOutcomes.of(1.0, 2.0, 3.0, 4.0)
-    assert po.flat == (1.0, 2.0, 3.0, 4.0)
-    assert po.y[0][1] == 2.0
-    assert po.y[1][0] == 3.0
-    with pytest.raises(ValueError):
-        PotentialOutcomes.of(float("nan"), 0, 0, 0)
 
 
 def _tiny_joint():
@@ -88,6 +71,12 @@ def test_joint_check_rejects_a_nan_mass():
     with pytest.raises(ValueError) as err:
         joint.check()
     assert str(err.value) == "joint mass nan differs from 1 by more than 1e-12"
+
+
+def test_cell_table_rejects_a_nan_mass():
+    with pytest.raises(ValueError) as err:
+        CellTable({(0, 0): CellStats(float("nan"), 0.0, 0.0, 0.0)})
+    assert str(err.value) == "cell probabilities sum to nan, not 1"
 
 
 def test_panel_views_and_shapes():

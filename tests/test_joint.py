@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from didlab import _rng, corpus, scenarios
 from didlab._rng import uniforms
-from didlab.core import EXACT_TOL, JointDistribution, LatentState, PotentialOutcomes, validate_scenario
+from didlab.core import EXACT_TOL, JointDistribution, validate_scenario
 from didlab.errors import LabError
 from didlab.harness import oracle_block
 from didlab.scenarios import (
@@ -76,8 +76,8 @@ def test_every_atom_follows_the_decision_rule(shipped, seeds):
     cases += [(f"{key}:{seed}", make(seed)) for key, make in _CORPUS_FAMILIES.items() for seed in seeds[key]]
     for label, cfg in cases:
         for atom in atoms(build_joint(cfg)):
-            tr = decide(cfg, LatentState(atom.u0_type, PotentialOutcomes.of(*atom.po))).realized()
-            assert (tr.d0, tr.d1) == (atom.d0, atom.d1), label
+            tr = decide(cfg, atom.u0_type, atom.po)
+            assert (tr.d0, tr.d1_given[tr.d0]) == (atom.d0, atom.d1), label
             flat = atom.po
             assert (atom.y0, atom.y1) == (flat[atom.d0], flat[2 + atom.d1]), label
 
@@ -135,9 +135,9 @@ def test_decide_runs_once_per_distinct_state_it_reads(monkeypatch, make, calls_p
     cfg = make(3)
     cls, rule, calls = type(cfg), type(cfg).decide, []
 
-    def counting(self, state):
-        calls.append((state.u0_type, state.po.y[0][1]))
-        return rule(self, state)
+    def counting(self, u0_type, po):
+        calls.append((u0_type, po[1]))
+        return rule(self, u0_type, po)
 
     monkeypatch.setattr(cls, "decide", counting)
     build_joint(cfg)
@@ -149,25 +149,23 @@ def test_decide_runs_once_per_distinct_state_it_reads(monkeypatch, make, calls_p
 @pytest.mark.parametrize(
     "trace, message",
     [
-        (DecisionTrace(0, (2, 0), (0.0, 0.0), None), "TreatmentPair(d0=0, d1=2)"),
-        (DecisionTrace(-1, (0, 1), (0.0, 0.0), None), "TreatmentPair(d0=-1, d1=None)"),
-        (DecisionTrace(2, (0, 1), (0.0, 0.0), None), "TreatmentPair(d0=2, d1=None)"),
+        (DecisionTrace(0, (2, 0), (0.0, 0.0), None), "d0=0, d1=2"),
+        (DecisionTrace(-1, (0, 1), (0.0, 0.0), None), "d0=-1, d1=None"),
+        (DecisionTrace(2, (0, 1), (0.0, 0.0), None), "d0=2, d1=None"),
     ],
 )
 def test_a_rule_with_a_path_that_is_not_0_1_raises_the_pair_error(monkeypatch, trace, message):
-    """The build reads each path off its trace, and still raises what
-    realized() raises for one that is not 0/1."""
-    with pytest.raises(ValueError) as want:
-        trace.realized()
-    monkeypatch.setattr(NoLearning, "decide", lambda self, state: trace)
+    """The build reads each path off its trace and raises ValueError for
+    one that is not 0/1, with d1 None where d0 is not 0/1."""
+    monkeypatch.setattr(NoLearning, "decide", lambda self, u0_type, po: trace)
     with pytest.raises(ValueError) as err:
         build_joint(_wide_config(1, n_types=2))
-    assert str(err.value) == str(want.value) == f"treatment indicators must be 0/1, got {message}"
+    assert str(err.value) == f"treatment indicators must be 0/1, got {message}"
 
 
-def _rejects(cfg, state):
+def _rejects(cfg, u0_type, po):
     with pytest.raises(LabError) as err:
-        decide(cfg, state)
+        decide(cfg, u0_type, po)
     return err.value.code == "state-not-in-support"
 
 
@@ -175,12 +173,12 @@ def test_zero_probability_states_never_reach_the_rule():
     # a rate of 0 makes every Y_0(1) = 1 point impossible, and the rule
     # rejects that state
     treated = TreatedArmLearning(types=(TreatedLearningType(prob=1.0, prior=((0.0, 1.0),), mu_ctrl=(0.3, 0.5)),))
-    assert _rejects(treated, LatentState(0, PotentialOutcomes.of(0, 1, 0, 0)))
+    assert _rejects(treated, 0, (0.0, 1.0, 0.0, 0.0))
     assert len(build_joint(treated)) == 4
     # a zero-weight pmf row at a y0 of its own: E[Y_1(0) | y0] is undefined
     ty = StoppingType(prob=1.0, k0=0.0, k1=0.0, beta=0.9, pmf=(((1.0, 1.5), 1.0), ((3.0, 2.5), 0.0)))
     stopping = OptimalStopping(types=(ty,))
-    assert _rejects(stopping, LatentState(0, PotentialOutcomes.of(3.0, 0.0, 2.5, 0.0)))
+    assert _rejects(stopping, 0, (3.0, 0.0, 2.5, 0.0))
     assert len(build_joint(stopping)) == 1
 
 
@@ -189,7 +187,7 @@ def test_support_cap_counts_a_block_before_deciding_it(monkeypatch):
     prior = ((0.2, 0.25), (0.4, 0.25), (0.5, 0.0), (0.6, 0.25), (0.8, 0.25))
     cfg = TreatedArmLearning(types=(TreatedLearningType(prob=1.0, prior=prior, mu_ctrl=(0.3, 0.5)),))
     rule, calls = TreatedArmLearning.decide, []
-    monkeypatch.setattr(TreatedArmLearning, "decide", lambda self, state: calls.append(state) or rule(self, state))
+    monkeypatch.setattr(TreatedArmLearning, "decide", lambda self, u, po: calls.append(u) or rule(self, u, po))
     monkeypatch.setattr(scenarios, "MAX_ATOMS", 79)
     with pytest.raises(LabError) as err:
         build_joint(cfg)
@@ -780,14 +778,14 @@ def test_replaced_configs_get_fresh_decision_quantities():
     assert copy == ty and "_mean" in vars(ty) and "_mean" not in vars(copy)
     moved = dataclasses.replace(cfg, types=(dataclasses.replace(ty, prior=((0.1, 0.5), (0.5, 0.5))),))
     assert moved != cfg and moved.types[0]._mean == 0.3 and cfg.types[0]._mean == 0.5
-    state = LatentState(0, PotentialOutcomes.of(0, 1, 0, 1))
-    assert decide(moved, state) == decide(TreatedArmLearning(types=moved.types), state)
+    state = (0, (0.0, 1.0, 0.0, 1.0))
+    assert decide(moved, *state) == decide(TreatedArmLearning(types=moved.types), *state)
 
     ty = NoLearningType(prob=1.0, mu=((0.2, 0.9), (0.2, 0.3)))
     nl = NoLearning(types=(ty,))
-    before = decide(nl, state)
+    before = decide(nl, *state)
     flipped = dataclasses.replace(nl, types=(dataclasses.replace(ty, mu=((0.2, 0.1), (0.2, 0.3))),))
-    assert decide(flipped, state) != before and decide(nl, state) is before
+    assert decide(flipped, *state) != before and decide(nl, *state) is before
 
 
 @pytest.mark.parametrize(
@@ -839,7 +837,7 @@ def test_a_shared_type_computes_each_decision_quantity_once(monkeypatch, make_cf
     if impossible is not None:
         po, message = impossible
         with pytest.raises(LabError) as err:
-            decide(cfg, LatentState(1, PotentialOutcomes.of(*po)))
+            decide(cfg, 1, tuple(float(y) for y in po))
         assert str(err.value) == f"[state-not-in-support] {message}"
 
 

@@ -4,7 +4,6 @@ import random
 
 import pytest
 
-from didlab.core import LatentState, PotentialOutcomes
 from didlab.errors import LabError
 from didlab.scenarios import ControlLearningType
 
@@ -49,9 +48,8 @@ def test_impossible_observation_raises():
         ty = _learner(((rate, 1.0),))
         assert ty._post[impossible] is None and ty._post[1 - impossible] == rate
         assert ty._post_or_prior(impossible) == ty._mean == rate
-        state = LatentState(0, PotentialOutcomes.of(impossible, 0, 0, 0))
         with pytest.raises(LabError) as err:
-            ty._observed(state, 0)
+            ty._observed(0, (float(impossible), 0.0, 0.0, 0.0), 0)
         assert err.value.code == "state-not-in-support"
 
 

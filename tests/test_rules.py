@@ -8,7 +8,7 @@ from itertools import count, islice
 
 import pytest
 
-from didlab.core import CostTable, LatentState, PotentialOutcomes, validate_scenario
+from didlab.core import CostTable, validate_scenario
 from didlab.corpus import random_stopping
 from didlab.errors import LabError
 from didlab.oracle import check_conditions
@@ -144,6 +144,38 @@ def test_a_nan_weight_fails_every_mass_check(case):
     assert str(err.value) == "[invalid-scenario] weights sum to nan or include a negative one; validate the config first"
 
 
+# an unvalidated config build_joint rejects, and the start of its message
+_BUILD_GUARDS = {
+    "negative prior weight": (
+        TreatedArmLearning(types=(TreatedLearningType(prob=1.0, prior=((0.0, -0.5), (1.0, 1.5)), mu_ctrl=(0.3, 0.5)),)),
+        "weights sum to ",
+    ),
+    "stopping y0 nan": (_stopping(pmf=(((math.nan, 1.0), 1.0),)), "outcomes include a non-finite value"),
+    "stopping y1 inf": (_stopping(pmf=(((1.0, math.inf), 1.0),)), "outcomes include a non-finite value"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_BUILD_GUARDS))
+def test_build_joint_checks_weights_and_outcomes_before_any_rule_runs(monkeypatch, case):
+    """An unvalidated config whose grid the rule could not read is
+    invalid-scenario, whatever its rule would have raised."""
+    config, message = _BUILD_GUARDS[case]
+    assert not validate_scenario(config).ok
+    cls, rule, calls = type(config), type(config).decide, []
+    monkeypatch.setattr(cls, "decide", lambda self, *args: calls.append(args) or rule(self, *args))
+    with pytest.raises(LabError) as err:
+        build_joint(config)
+    assert err.value.code == "invalid-scenario" and calls == []
+    assert str(err.value).startswith(f"[invalid-scenario] {message}")
+    assert str(err.value).endswith("; validate the config first")
+
+
+def test_a_zero_weight_row_is_dropped_before_the_outcome_check():
+    config = _stopping(pmf=(((1.0, 1.5), 1.0), ((math.nan, math.inf), 0.0)))
+    joint = build_joint(config)
+    assert len(joint) == 1 and joint.po.tolist() == [[1.0, 0.0, 1.5, 0.0]]
+
+
 @pytest.mark.parametrize("k", [4, 6, 10, 100, 300])
 def test_stopping_trends_compare_in_units_of_the_outcomes(k):
     """Scaling outcomes and costs by 10^k keeps every decision, so it keeps
@@ -165,7 +197,7 @@ def test_stopping_trends_a_billionth_of_the_scale_apart_are_inconsistent(k):
 
 
 def _state(y, u0_type=0):
-    return LatentState(u0_type=u0_type, po=PotentialOutcomes.of(*y))
+    return u0_type, tuple(float(v) for v in y)
 
 
 # a config, a latent state its decide() rejects, and the error's text
@@ -187,7 +219,7 @@ _GUARDS = {
 def test_each_decide_guard_raises_state_not_in_support(case):
     config, state, message = _GUARDS[case]
     with pytest.raises(LabError) as err:
-        config.decide(state)
+        config.decide(*state)
     assert str(err.value) == f"[state-not-in-support] {message}"
 
 
